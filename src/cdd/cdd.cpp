@@ -1,5 +1,6 @@
 #include "cdd/cdd.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -12,11 +13,21 @@ CddService::CddService(CddFabric& fabric, int node_id)
       locks_(fabric.cluster().sim()) {}
 
 sim::Task<> CddService::server_loop() {
+  auto& sim = fabric_.cluster().sim();
+  auto& node = fabric_.cluster().node(node_);
   for (;;) {
     Request req = co_await mailbox_.recv();
+    if (req.op == Request::Op::kLockSync) {
+      // A lock-state broadcast has no reply and leaves no state behind:
+      // only its receive CPU is charged.  Spawned here, in mailbox order,
+      // so it takes the CPU in the same order as every other request.
+      ++served_;
+      sim.spawn(node.cpu_work(req.wire_bytes()));
+      continue;
+    }
     // Each request is handled concurrently; ordering on the actual disk is
     // enforced by the disk's own FIFO queue, as in a real driver.
-    fabric_.cluster().sim().spawn(handle(std::move(req)));
+    sim.spawn(handle(std::move(req)));
   }
 }
 
@@ -110,8 +121,7 @@ sim::Task<> CddService::handle(Request req) {
           co_await locks_.acquire(g, req.lock_owner);
         }
         if (fabric_.params().replicate_lock_table) {
-          fabric_.cluster().sim().spawn(
-              replicate_lock_state(g, req.lock_owner));
+          fabric_.cluster().sim().spawn(broadcast_lock_state());
         }
       }
       co_await send_reply(req.from, req.op, req.rpc_id, req.reply, Reply{},
@@ -128,23 +138,15 @@ sim::Task<> CddService::handle(Request req) {
       for (std::uint64_t g : req.lock_groups) {
         locks_.release(g, req.lock_owner);
         if (fabric_.params().replicate_lock_table) {
-          fabric_.cluster().sim().spawn(
-              replicate_lock_state(g, locks_.owner(g)));
+          fabric_.cluster().sim().spawn(broadcast_lock_state());
         }
       }
       co_await send_reply(req.from, req.op, req.rpc_id, req.reply, Reply{},
                           serve.ctx());
       break;
     }
-    case Request::Op::kLockSync: {
-      // One-way replication update; lock_owner 0 means "group is free".
-      obs::Span serve = obs::trace_span(
-          cluster.sim(), req.ctx, "cdd.serve.locksync", obs::Track::kServer,
-          node_, obs::SpanArgs{}.tag("node", node_));
-      co_await node.cpu_work(req.wire_bytes());
-      locks_.apply_replica_update(req.group, req.lock_owner);
-      break;
-    }
+    case Request::Op::kLockSync:
+      break;  // served inline by server_loop()
     case Request::Op::kProbe: {
       // Health query answered from device state: no media access, so a
       // probe never perturbs the disk head or queues behind data traffic.
@@ -181,26 +183,23 @@ sim::Task<> CddService::send_reply(int to, Request::Op /*op*/,
   }
 }
 
-sim::Task<> CddService::replicate_lock_state(std::uint64_t group,
-                                             std::uint64_t owner) {
+sim::Task<> CddService::broadcast_lock_state() {
   auto& cluster = fabric_.cluster();
   // Background one-way traffic gets its own root trace.
   obs::Span span = obs::trace_span(
       cluster.sim(), {}, "cdd.replicate", obs::Track::kRequest, node_,
       obs::SpanArgs{}.tag("node", node_));
+  // One header-sized message per peer announcing the group's new owner;
+  // cache invalidations piggyback on this traffic.  Peers keep no copy of
+  // the table, so a partitioned peer that misses one loses nothing.
+  Request sync;
+  sync.op = Request::Op::kLockSync;
+  sync.from = node_;
   for (int peer = 0; peer < cluster.num_nodes(); ++peer) {
     if (peer == node_) continue;
-    Request sync;
-    sync.op = Request::Op::kLockSync;
-    sync.from = node_;
-    sync.group = group;
-    sync.lock_owner = owner;
-    sync.ctx = span.ctx();
     const bool delivered = co_await cluster.network().transmit(
         node_, peer, sync.wire_bytes(), span.ctx());
-    // Replication is best-effort one-way traffic; a partitioned peer just
-    // misses the update (its replica is advisory, never authoritative).
-    if (delivered) fabric_.service(peer).mailbox().send(std::move(sync));
+    if (delivered) fabric_.service(peer).mailbox().send(sync);
   }
 }
 
@@ -407,42 +406,45 @@ sim::Task<> CddFabric::lock_groups(int client,
                                    std::vector<std::uint64_t> groups,
                                    std::uint64_t owner,
                                    obs::TraceContext ctx) {
-  obs::Span span = obs::trace_span(
-      cluster_.sim(), ctx, "cdd.lock", obs::Track::kRequest, client,
-      obs::SpanArgs{}.tag("client", client).tag(
-          "groups", static_cast<std::int64_t>(groups.size())));
-  // One RPC per home node, homes in ascending order.  Groups are already
-  // sorted, so each home's sub-list is ascending too.
-  for (int home = 0; home < cluster_.num_nodes(); ++home) {
-    Request req;
-    req.op = Request::Op::kLock;
-    req.lock_owner = owner;
-    req.ctx = span.ctx();
-    for (std::uint64_t g : groups) {
-      if (lock_home(g) == home) req.lock_groups.push_back(g);
-    }
-    if (req.lock_groups.empty()) continue;
-    co_await submit(client, home, std::move(req));
-  }
+  return per_home_rpcs(client, Request::Op::kLock, std::move(groups), owner,
+                       ctx);
 }
 
 sim::Task<> CddFabric::unlock_groups(int client,
                                      std::vector<std::uint64_t> groups,
                                      std::uint64_t owner,
                                      obs::TraceContext ctx) {
+  return per_home_rpcs(client, Request::Op::kUnlock, std::move(groups),
+                       owner, ctx);
+}
+
+sim::Task<> CddFabric::per_home_rpcs(int client, Request::Op op,
+                                     std::vector<std::uint64_t> groups,
+                                     std::uint64_t owner,
+                                     obs::TraceContext ctx) {
   obs::Span span = obs::trace_span(
-      cluster_.sim(), ctx, "cdd.unlock", obs::Track::kRequest, client,
+      cluster_.sim(), ctx,
+      op == Request::Op::kLock ? "cdd.lock" : "cdd.unlock",
+      obs::Track::kRequest, client,
       obs::SpanArgs{}.tag("client", client).tag(
           "groups", static_cast<std::int64_t>(groups.size())));
-  for (int home = 0; home < cluster_.num_nodes(); ++home) {
+  // One RPC per home node, homes in ascending order.  The stable sort
+  // keeps each home's sub-list in the caller's (ascending) order.
+  std::stable_sort(groups.begin(), groups.end(),
+                   [this](std::uint64_t a, std::uint64_t b) {
+                     return lock_home(a) < lock_home(b);
+                   });
+  for (auto first = groups.begin(); first != groups.end();) {
+    const int home = lock_home(*first);
+    auto last = std::find_if(first, groups.end(), [&](std::uint64_t g) {
+      return lock_home(g) != home;
+    });
     Request req;
-    req.op = Request::Op::kUnlock;
+    req.op = op;
     req.lock_owner = owner;
     req.ctx = span.ctx();
-    for (std::uint64_t g : groups) {
-      if (lock_home(g) == home) req.lock_groups.push_back(g);
-    }
-    if (req.lock_groups.empty()) continue;
+    req.lock_groups.assign(first, last);
+    first = last;
     co_await submit(client, home, std::move(req));
   }
 }

@@ -8,8 +8,10 @@
 //    node's storage manager over the network ("device masquerading" -- the
 //    caller addresses any disk in the SIOS and never sees the difference
 //    beyond latency);
-//  * consistency module: home-node partitioned lock-group table, replicated
-//    to peers with one-way background updates.
+//  * consistency module: home-node partitioned lock-group table; each grant
+//    and release is broadcast to the peers as one-way lock-state messages
+//    (modelled wire and CPU traffic that carries cache invalidations).
+//    Peers keep no replica: the home's table is the only copy.
 //
 // Local requests bypass the network entirely (one kernel crossing), which is
 // exactly the property that lets a serverless cluster beat a central file
@@ -33,7 +35,7 @@
 namespace raidx::cdd {
 
 struct CddParams {
-  /// Mirror every lock grant/release to all peer consistency modules.
+  /// Broadcast every lock grant/release to all peer consistency modules.
   bool replicate_lock_table = true;
 
   /// Client-side timeout on remote read/write/probe RPCs; 0 (the default)
@@ -92,7 +94,7 @@ class CddService {
   sim::Task<> send_reply(int to, Request::Op op, std::uint64_t rpc_id,
                          sim::Oneshot<Reply>* slot, Reply reply,
                          obs::TraceContext ctx = {});
-  sim::Task<> replicate_lock_state(std::uint64_t group, std::uint64_t owner);
+  sim::Task<> broadcast_lock_state();
 
   CddFabric& fabric_;
   int node_;
@@ -194,6 +196,11 @@ class CddFabric {
 
  private:
   friend class CddService;
+
+  /// lock_groups/unlock_groups: one `op` RPC per home node, in order.
+  sim::Task<> per_home_rpcs(int client, Request::Op op,
+                            std::vector<std::uint64_t> groups,
+                            std::uint64_t owner, obs::TraceContext ctx);
 
   /// Route a request to the node owning its target; completes when the
   /// reply has fully arrived back at the client.

@@ -58,23 +58,4 @@ std::size_t LockGroupTable::waiters(std::uint64_t group) const {
   return it == table_.end() ? 0 : it->second.queue.size();
 }
 
-void LockGroupTable::apply_replica_update(std::uint64_t group,
-                                          std::uint64_t owner) {
-  ++replica_updates_;
-  if (owner == 0) {
-    // Tombstone (owner 0) instead of erasing: replica_owner() treats
-    // missing and 0 identically, and this map sees millions of free/grant
-    // flips per run -- erase/reinsert churn dominates otherwise.
-    auto it = replica_.find(group);
-    if (it != replica_.end()) it->second = 0;
-  } else {
-    replica_[group] = owner;
-  }
-}
-
-std::uint64_t LockGroupTable::replica_owner(std::uint64_t group) const {
-  auto it = replica_.find(group);
-  return it == replica_.end() ? 0 : it->second;
-}
-
 }  // namespace raidx::cdd

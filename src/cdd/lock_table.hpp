@@ -46,11 +46,6 @@ class LockGroupTable {
   std::size_t waiters(std::uint64_t group) const;
   std::size_t records() const { return table_.size(); }
 
-  /// Replica bookkeeping (applied when a kLockSync message arrives).
-  void apply_replica_update(std::uint64_t group, std::uint64_t owner);
-  std::uint64_t replica_owner(std::uint64_t group) const;  // 0 if free/unknown
-  std::uint64_t replica_updates() const { return replica_updates_; }
-
  private:
   struct Waiter {
     std::uint64_t owner;
@@ -63,8 +58,6 @@ class LockGroupTable {
 
   sim::Simulation& sim_;
   std::unordered_map<std::uint64_t, Entry> table_;
-  std::unordered_map<std::uint64_t, std::uint64_t> replica_;
-  std::uint64_t replica_updates_ = 0;
 };
 
 }  // namespace raidx::cdd

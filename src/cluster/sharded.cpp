@@ -95,6 +95,7 @@ sim::Task<> ShardedCluster::serve_remote(int src, int dst, bool write,
   const int gateway = static_cast<int>(
       b.next_gateway++ % static_cast<std::uint64_t>(nodes_per_shard()));
   bool ok = true;
+  bool rejected = false;
   try {
     if (write) {
       co_await eng.write(gateway, lba, block::Payload::zeros(bytes));
@@ -106,13 +107,18 @@ sim::Task<> ShardedCluster::serve_remote(int src, int dst, bool write,
                         std::span<std::byte>(b.remote_scratch.data(),
                                              static_cast<std::size_t>(bytes)));
     }
-  } catch (const raid::IoError&) {
-    ok = false;
   } catch (const raid::AdmissionError&) {
+    // Turned away by the target's admission gate: policy, not failure
+    // (AdmissionError derives IoError, so it must be caught first).
+    ok = false;
+    rejected = true;
+  } catch (const raid::IoError&) {
     ok = false;
   }
   if (ok) {
     ++b.remote_served;
+  } else if (rejected) {
+    ++b.remote_rejected;
   } else {
     ++b.remote_failed;
   }
@@ -165,7 +171,7 @@ std::string ShardedCluster::merged_snapshot_json() {
   // top of whatever the load tier already exported there), so a second
   // call would double-count.
   obs::Registry merged;
-  char prefix[16];
+  char prefix[32];  // fits "shard." + any int + "."
   for (int s = 0; s < shards(); ++s) {
     Shard& sh = shard(s);
     obs::collect_cluster(sh.hub.registry(), *sh.cluster, sh.fabric.get(),
@@ -175,15 +181,17 @@ std::string ShardedCluster::merged_snapshot_json() {
   }
   merged.counter("sim.shard.windows").inc(group_.stats().windows);
   merged.counter("sim.shard.messages").inc(group_.stats().messages);
-  std::uint64_t sent = 0, served = 0, failed = 0;
+  std::uint64_t sent = 0, served = 0, failed = 0, rejected = 0;
   for (int s = 0; s < shards(); ++s) {
     sent += shard(s).remote_sent;
     served += shard(s).remote_served;
     failed += shard(s).remote_failed;
+    rejected += shard(s).remote_rejected;
   }
   merged.counter("remote.sent").inc(sent);
   merged.counter("remote.served").inc(served);
   merged.counter("remote.failed").inc(failed);
+  merged.counter("remote.rejected").inc(rejected);
   return merged.snapshot_json();
 }
 

@@ -83,7 +83,8 @@ class ShardedCluster {
     std::uint64_t next_gateway = 0;         // round-robin gateway node
     std::uint64_t remote_sent = 0;
     std::uint64_t remote_served = 0;
-    std::uint64_t remote_failed = 0;
+    std::uint64_t remote_failed = 0;    // I/O failures at this gateway
+    std::uint64_t remote_rejected = 0;  // turned away by this group's gate
   };
 
   int shards() const { return static_cast<int>(shards_.size()); }
@@ -104,7 +105,8 @@ class ShardedCluster {
   /// Execute one op against shard `dst`'s array on behalf of a client in
   /// shard `src`: uplink serialization, spine hop, gateway execution on
   /// dst, reply hop.  Must be awaited from a coroutine running on shard
-  /// `src`'s Simulation.  Returns false on I/O failure at the far end.
+  /// `src`'s Simulation.  Returns false on I/O failure at the far end,
+  /// or when dst's admission gate turns the request away.
   sim::Task<bool> remote_io(int src, int dst, bool write, std::uint64_t lba,
                             std::uint32_t nblocks);
 

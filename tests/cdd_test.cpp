@@ -202,16 +202,6 @@ TEST(LockTable, TracksWaiterCount) {
   EXPECT_FALSE(t.held(1));
 }
 
-TEST(LockTable, ReplicaUpdatesApply) {
-  sim::Simulation sim;
-  LockGroupTable t(sim);
-  t.apply_replica_update(9, 55);
-  EXPECT_EQ(t.replica_owner(9), 55u);
-  t.apply_replica_update(9, 0);
-  EXPECT_EQ(t.replica_owner(9), 0u);
-  EXPECT_EQ(t.replica_updates(), 2u);
-}
-
 // ---- distributed locking through the fabric --------------------------------
 
 sim::Task<> lock_unlock(CddFabric& f, int client,
@@ -263,22 +253,38 @@ TEST(DistributedLocks, SameNodeWritersExcludeEachOther) {
   EXPECT_EQ(order[1], 1);
 }
 
-TEST(DistributedLocks, ReplicationPropagatesToAllPeers) {
+TEST(DistributedLocks, GrantAndReleaseBroadcastToEveryPeer) {
+  // Group 8's home is node 0 (8 % 4) and the client is node 0 too, so the
+  // lock RPCs themselves never touch the network: every message node 0
+  // sends is lock-state broadcast, one header per peer per grant/release.
   Rig rig(test::small_cluster());
-  auto hold = [](CddFabric& f) -> sim::Task<> {
+  auto cycle = [](CddFabric& f) -> sim::Task<> {
     std::vector<std::uint64_t> groups = {8};
-    co_await f.lock_groups(0, std::move(groups), 77);
-    // Hold; replication is asynchronous and drains with the sim.
+    co_await f.lock_groups(0, groups, 77);
+    co_await f.unlock_groups(0, std::move(groups), 77);
   };
-  rig.run(hold(rig.fabric));
-  // Group 8's home is node 0 (8 % 4); every *other* consistency module
-  // must have seen the replica update.
-  int home = rig.fabric.lock_home(8);
-  for (int n = 0; n < 4; ++n) {
+  rig.run(cycle(rig.fabric));
+  const int home = rig.fabric.lock_home(8);
+  ASSERT_EQ(home, 0);
+  const int peers = rig.cluster.num_nodes() - 1;
+  auto& net = rig.cluster.network();
+  EXPECT_EQ(net.messages_sent(home), 2u * static_cast<unsigned>(peers));
+  EXPECT_EQ(net.bytes_sent(home),
+            2u * static_cast<unsigned>(peers) * kHeaderBytes);
+  // Each peer takes both messages through its CDD and pays receive CPU
+  // for them, and nothing else: the broadcast is one-way.
+  const cluster::NodeParams& np = rig.cluster.params().node;
+  const sim::Time per_msg =
+      np.cpu_op_overhead +
+      static_cast<sim::Time>(np.cpu_ns_per_byte *
+                             static_cast<double>(kHeaderBytes));
+  for (int n = 0; n < rig.cluster.num_nodes(); ++n) {
     if (n == home) continue;
-    EXPECT_EQ(rig.fabric.service(n).lock_table().replica_owner(8), 77u)
-        << "node " << n;
+    EXPECT_EQ(net.messages_sent(n), 0u) << "node " << n;
+    EXPECT_EQ(rig.fabric.service(n).requests_served(), 2u) << "node " << n;
+    EXPECT_EQ(rig.cluster.node(n).cpu_busy(), 2 * per_msg) << "node " << n;
   }
+  EXPECT_FALSE(rig.fabric.service(home).lock_table().held(8));
 }
 
 TEST(DistributedLocks, LockTrafficCanBeDisabledForAblation) {
@@ -291,9 +297,55 @@ TEST(DistributedLocks, LockTrafficCanBeDisabledForAblation) {
     co_await f.unlock_groups(1, std::move(groups), 9);
   };
   rig.run(cycle(rig.fabric));
-  for (int n = 0; n < 4; ++n) {
-    EXPECT_EQ(rig.fabric.service(n).lock_table().replica_updates(), 0u);
-  }
+  // Only the two RPCs and their two replies cross the wire: the home
+  // (node 3) sends its replies and no lock-sync message at all.
+  auto& net = rig.cluster.network();
+  EXPECT_EQ(net.messages_sent(1), 2u);
+  EXPECT_EQ(net.messages_sent(3), 2u);
+  EXPECT_EQ(net.messages_sent(0), 0u);
+  EXPECT_EQ(net.messages_sent(2), 0u);
+  EXPECT_EQ(rig.fabric.service(0).requests_served(), 0u);
+  EXPECT_EQ(rig.fabric.service(2).requests_served(), 0u);
+}
+
+TEST(DistributedLocks, GroupsGoOutAsOneRpcPerHomeInAscendingHomeOrder) {
+  // {1,5} live on node 1, {2,6} on node 2 and {7,11} on node 3.  A
+  // blocker on node 2 holds 6, so the batch stops at home 2: home 1's
+  // record is already granted and home 3 has not been asked yet.
+  cdd::CddParams p;
+  p.replicate_lock_table = false;  // requests_served() counts RPCs only
+  Rig rig(test::small_cluster(), p);
+  auto blocker = [](CddFabric& f, sim::Simulation& s) -> sim::Task<> {
+    std::vector<std::uint64_t> groups = {6};
+    co_await f.lock_groups(2, groups, 100);
+    co_await s.delay(sim::milliseconds(20));
+    co_await f.unlock_groups(2, std::move(groups), 100);
+  };
+  rig.sim.spawn(blocker(rig.fabric, rig.sim));
+  rig.sim.run_until(sim::milliseconds(1));
+  std::vector<int> order;
+  rig.sim.spawn(lock_unlock(rig.fabric, 0, {1, 2, 5, 6, 7, 11}, 200, &order,
+                            0, rig.sim));
+  rig.sim.run_until(sim::milliseconds(10));
+  LockGroupTable& h1 = rig.fabric.service(1).lock_table();
+  LockGroupTable& h2 = rig.fabric.service(2).lock_table();
+  LockGroupTable& h3 = rig.fabric.service(3).lock_table();
+  EXPECT_TRUE(order.empty());
+  EXPECT_EQ(h1.owner(1), 200u);
+  EXPECT_EQ(h1.owner(5), 200u);
+  EXPECT_EQ(h2.owner(2), 200u);  // granted in order, up to the blocker
+  EXPECT_EQ(h2.owner(6), 100u);
+  EXPECT_EQ(h2.waiters(6), 1u);
+  EXPECT_FALSE(h3.held(7));
+  EXPECT_FALSE(h3.held(11));
+  EXPECT_EQ(rig.fabric.service(3).requests_served(), 0u);
+  rig.sim.run();
+  EXPECT_EQ(order, std::vector<int>{0});
+  // One lock and one unlock RPC per home; node 0 is no home here.
+  EXPECT_EQ(rig.fabric.service(0).requests_served(), 0u);
+  EXPECT_EQ(rig.fabric.service(1).requests_served(), 2u);
+  EXPECT_EQ(rig.fabric.service(2).requests_served(), 4u);  // + blocker's
+  EXPECT_EQ(rig.fabric.service(3).requests_served(), 2u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster/sharded.hpp"
+#include "load/qos.hpp"
 #include "obs/collect.hpp"
 #include "test_util.hpp"
 
@@ -256,6 +257,47 @@ TEST(ShardedCluster, FaultPlanPartitionsAcrossGroups) {
     EXPECT_EQ(st.detections, 1u) << "shard " << s;
     EXPECT_EQ(st.rebuilds_failed, 0u) << "shard " << s;
   }
+}
+
+sim::Task<> remote_ops(ShardedCluster* world, int src, int dst, int ops,
+                       int* ok_count) {
+  for (int i = 0; i < ops; ++i) {
+    if (co_await world->remote_io(src, dst, /*write=*/true,
+                                  static_cast<std::uint64_t>(i) * 4, 2)) {
+      ++*ok_count;
+    }
+  }
+}
+
+TEST(ShardedCluster, RemoteTurnAwaysCountAsRejectedNotFailed) {
+  // Group 1's array sits behind a QoS gate whose bucket holds one 1 KB
+  // request and refills far slower than the burst below arrives: the
+  // first remote write is admitted, every later one is turned away.
+  ShardedParams sp;
+  sp.shards = 2;
+  ShardedCluster world(test::small_cluster(), sp);
+  load::TenantQos q;
+  q.rate_mbs = 1e-6;
+  q.burst_mb = 0.0015;
+  q.policy = load::AdmitPolicy::kReject;
+  load::QosGate gate(world.sim(1), {q});
+  for (int n = 0; n < world.nodes_per_shard(); ++n) gate.bind_client(n, 0);
+  world.engine(1).set_admission(&gate);
+  int ok_count = 0;
+  {
+    auto scope = world.group().frame_scope(0);
+    world.sim(0).spawn(remote_ops(&world, 0, 1, 6, &ok_count));
+  }
+  world.run(1);
+  const ShardedCluster::Shard& target = world.shard(1);
+  EXPECT_EQ(ok_count, 1);
+  EXPECT_EQ(target.remote_served, 1u);
+  EXPECT_EQ(target.remote_rejected, 5u);
+  EXPECT_EQ(target.remote_failed, 0u);
+  EXPECT_EQ(gate.stats(0).rejected, 5u);
+  const std::string snap = world.merged_snapshot_json();
+  EXPECT_NE(snap.find("\"remote.rejected\":5"), std::string::npos);
+  EXPECT_NE(snap.find("\"remote.failed\":0"), std::string::npos);
 }
 
 TEST(ShardedCluster, RejectsFaultOutsideFederation) {

@@ -2,9 +2,9 @@
 //
 // Lets a user sweep any point of the design space without writing code:
 //
-//   raidxsim --arch raidx --nodes 16 --disks 1 --clients 8 \
+//   raidxsim --arch raidx --nodes 16 --disks 1 --clients 8
 //            --op read --bytes 64M --ops 1
-//   raidxsim --arch raid5 --clients 16 --op write --bytes 32K --ops 40 \
+//   raidxsim --arch raid5 --clients 16 --op write --bytes 32K --ops 40
 //            --scattered --fail 3
 //   raidxsim --arch nfs --clients 12 --op read --bytes 8M --verbose
 //
