@@ -20,6 +20,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
@@ -50,6 +52,13 @@ class Payload {
   /// Copy `bytes` into fresh shared storage.
   static Payload copy(std::span<const std::byte> bytes) {
     return Payload(std::vector<std::byte>(bytes.begin(), bytes.end()));
+  }
+
+  /// Like copy(), but all-zero input becomes a zero-run with no storage.
+  /// Cache fills use it: a disk with store_data=false reads back zeros,
+  /// and a zero-run holds them at no memory cost.
+  static Payload copy_or_zeros(std::span<const std::byte> bytes) {
+    return all_zero(bytes) ? zeros(bytes.size()) : copy(bytes);
   }
 
   std::size_t size() const { return len_; }
@@ -98,6 +107,27 @@ class Payload {
   }
 
  private:
+  /// True when every byte is 0.  ORs 64-bit words in fixed 256-byte steps
+  /// (a loop the compiler vectorizes) and stops at the first nonzero step,
+  /// so real data usually pays for one step.
+  static bool all_zero(std::span<const std::byte> bytes) {
+    constexpr std::size_t kStep = 256;
+    const std::byte* p = bytes.data();
+    std::size_t n = bytes.size();
+    for (; n >= kStep; p += kStep, n -= kStep) {
+      std::uint64_t acc = 0;
+      for (std::size_t i = 0; i < kStep; i += sizeof(std::uint64_t)) {
+        std::uint64_t w = 0;
+        std::memcpy(&w, p + i, sizeof(w));
+        acc |= w;
+      }
+      if (acc != 0) return false;
+    }
+    std::byte tail{0};
+    for (std::size_t i = 0; i < n; ++i) tail |= p[i];
+    return tail == std::byte{0};
+  }
+
   std::shared_ptr<const std::vector<std::byte>> base_;
   std::size_t off_ = 0;
   std::size_t len_ = 0;

@@ -6,6 +6,8 @@
 // CacheFabric can mutate caches "instantaneously" at well-defined points of
 // the simulation (insert/invalidate happen synchronously inside the
 // writer's critical section) while all latency is charged separately.
+// Entries are shared, immutable block::Payload handles: installing,
+// forwarding or snapshotting a block moves a reference, never the bytes.
 //
 // Eviction policies:
 //  * LRU  -- single recency list.
@@ -28,9 +30,9 @@
 #include <cstdint>
 #include <list>
 #include <optional>
-#include <span>
 #include <unordered_map>
-#include <vector>
+
+#include "block/payload.hpp"
 
 namespace raidx::cache {
 
@@ -43,18 +45,20 @@ class NodeCache {
   NodeCache(const NodeCache&) = delete;
   NodeCache& operator=(const NodeCache&) = delete;
 
-  /// Look up a block; returns its bytes and refreshes recency.  nullptr on
-  /// miss.  The returned span is invalidated by any mutating call.
-  std::span<const std::byte> lookup(std::uint64_t lba);
+  /// Look up a block; returns its payload and refreshes recency.  nullptr
+  /// on miss.  The pointer is invalidated by any mutating call; copy the
+  /// Payload (a shared handle, no bytes move) to keep the contents.
+  const block::Payload* lookup(std::uint64_t lba);
 
   /// Peek without touching recency (peer-forward reads: a remote hit
   /// should not rejuvenate the peer's entry).
-  std::span<const std::byte> peek(std::uint64_t lba) const;
+  const block::Payload* peek(std::uint64_t lba) const;
 
-  /// Insert or overwrite a block.  `dirty` marks it as needing a flush.
+  /// Insert or overwrite a block, taking over `data` (the entry shares its
+  /// storage; nothing is copied).  `dirty` marks it as needing a flush.
   /// Does NOT evict; the caller checks over_capacity() afterwards and runs
   /// the eviction protocol so dirty victims can be flushed with real I/O.
-  void insert(std::uint64_t lba, std::span<const std::byte> data, bool dirty);
+  void insert(std::uint64_t lba, block::Payload data, bool dirty);
 
   /// Drop a block (coherence invalidation).  Returns true if present.
   /// Dirty entries are dropped too -- the caller must only invalidate a
@@ -101,7 +105,7 @@ class NodeCache {
   enum class Queue : std::uint8_t { kProbation, kMain };
 
   struct Entry {
-    std::vector<std::byte> data;
+    block::Payload data;
     bool dirty = false;
     bool busy = false;  // flush in flight
     std::uint64_t version = 0;

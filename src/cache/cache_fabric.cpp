@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace raidx::cache {
 
@@ -64,13 +65,12 @@ sim::Task<bool> CacheFabric::read_block(int client, int cache_node,
           .tag("node", cache_node)
           .tag("lba", static_cast<std::int64_t>(lba)));
 
-  auto hit = local.lookup(lba);
-  if (!hit.empty()) {
+  if (const block::Payload* hit = local.lookup(lba)) {
     ++stats_.hits;
     span.tag("hit", 1);
     // Functional copy happens now; the latency below models the memcpy and
     // (for a server-side cache) the wire round trip.
-    std::copy(hit.begin(), hit.end(), out.begin());
+    hit->copy_to(out);
     if (cache_node != client) {
       co_await cluster_.node(client).cpu_work(kCacheHeaderBytes);
       co_await cluster_.network().transmit(client, cache_node,
@@ -111,7 +111,7 @@ sim::Task<bool> CacheFabric::read_block(int client, int cache_node,
           continue;
         }
         const NodeCache& pc = cache(holder);
-        if (pc.peek(lba).empty()) continue;
+        if (pc.peek(lba) == nullptr) continue;
         if (pc.dirty(lba)) {
           peer = holder;
           break;
@@ -130,10 +130,11 @@ sim::Task<bool> CacheFabric::read_block(int client, int cache_node,
       ++stats_.peer_hits;
       span.tag("hit", 2);
       span.tag("peer", peer);
-      auto data = cache(peer).peek(lba);
-      std::copy(data.begin(), data.end(), out.begin());
+      const block::Payload& data = *cache(peer).peek(lba);
+      data.copy_to(out);
       // Install a clean replica at the requester immediately: the directory
       // knows about it from this instant, so a later write invalidates it.
+      // The replica shares the peer's storage.
       local.insert(lba, data, /*dirty=*/false);
       directory_add(lba, cache_node);
       shed_overflow(cache_node);
@@ -179,15 +180,15 @@ void CacheFabric::fill(int cache_node, std::uint64_t lba,
   NodeCache& local = cache(cache_node);
   if (local.contains(lba)) return;  // raced with another fill or a write
   ++stats_.fills;
-  local.insert(lba, data, /*dirty=*/false);
+  local.insert(lba, block::Payload::copy_or_zeros(data), /*dirty=*/false);
   directory_add(lba, cache_node);
   post_notice(cache_node, home_of(lba));  // registration
   shed_overflow(cache_node);
 }
 
 sim::Task<std::uint64_t> CacheFabric::write_block(
-    int cache_node, std::uint64_t lba, std::span<const std::byte> data,
-    bool dirty, bool piggybacked, bool through, obs::TraceContext ctx) {
+    int cache_node, std::uint64_t lba, block::Payload data, bool dirty,
+    bool piggybacked, bool through, obs::TraceContext ctx) {
   const std::uint32_t bs = cluster_.geometry().block_bytes;
   obs::Span span = obs::trace_span(
       cluster_.sim(), ctx, "cache.write", obs::Track::kRequest, cache_node,
@@ -199,7 +200,7 @@ sim::Task<std::uint64_t> CacheFabric::write_block(
   NodeCache& local = cache(cache_node);
   const std::uint64_t epoch = ++write_epoch_[lba];
   if (through) ++wt_inflight_[lba];
-  local.insert(lba, data, dirty);
+  local.insert(lba, std::move(data), dirty);
   if (dirty && !through) ++stats_.writes_absorbed;
 
   // Invalidate every other copy *functionally now*, inside the writer's
@@ -260,8 +261,7 @@ std::optional<CacheFabric::DirtySnapshot> CacheFabric::begin_flush(int node) {
   DirtySnapshot snap;
   snap.lba = *lba;
   snap.version = c.version(*lba);
-  auto data = c.peek(*lba);
-  snap.data.assign(data.begin(), data.end());
+  snap.data = *c.peek(*lba);
   return snap;
 }
 
@@ -272,8 +272,7 @@ std::optional<CacheFabric::DirtySnapshot> CacheFabric::resnapshot(
   DirtySnapshot snap;
   snap.lba = lba;
   snap.version = c.version(lba);
-  auto data = c.peek(lba);
-  snap.data.assign(data.begin(), data.end());
+  snap.data = *c.peek(lba);
   return snap;
 }
 

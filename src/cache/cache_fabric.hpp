@@ -158,18 +158,21 @@ class CacheFabric {
   /// directory.  `epoch` is the write_epoch() snapshot taken before the
   /// disk read; a mismatch means the disk bytes are stale and the install
   /// is dropped.  The registration notice is a one-way background message.
+  /// The entry is one shared copy of `data`, or a zero-run (no storage)
+  /// when `data` is all zeros.
   void fill(int cache_node, std::uint64_t lba,
             std::span<const std::byte> data, std::uint64_t epoch);
 
   /// Install new contents at the writer and invalidate every peer copy.
-  /// `piggybacked` marks the invalidation notices as riding the engine's
-  /// lock-group grant/release broadcasts (no extra wire traffic).
+  /// The entry shares `data`'s storage.  `piggybacked` marks the
+  /// invalidation notices as riding the engine's lock-group grant/release
+  /// broadcasts (no extra wire traffic).
   /// `through` marks a write-through write: the entry is installed dirty
   /// and a per-block in-flight counter is raised until the caller's disk
   /// write lands and end_write_through() settles it.  Returns the write
   /// epoch assigned at the (synchronous) functional commit.
   sim::Task<std::uint64_t> write_block(int cache_node, std::uint64_t lba,
-                                       std::span<const std::byte> data,
+                                       block::Payload data,
                                        bool dirty, bool piggybacked,
                                        bool through = false,
                                        obs::TraceContext ctx = {});
@@ -199,7 +202,7 @@ class CacheFabric {
   struct DirtySnapshot {
     std::uint64_t lba = 0;
     std::uint64_t version = 0;
-    std::vector<std::byte> data;
+    block::Payload data;  // shares the cache entry's storage
   };
 
   /// Oldest dirty block of a node, marked busy so concurrent flushers skip

@@ -47,9 +47,10 @@ sim::Time ShardedCluster::spine_ns(std::uint64_t bytes) const {
                                 sharded_params_.uplink_mbs);
 }
 
-sim::Task<bool> ShardedCluster::remote_io(int src, int dst, bool write,
-                                          std::uint64_t lba,
-                                          std::uint32_t nblocks) {
+sim::Task<raid::IoOutcome> ShardedCluster::remote_io(int src, int dst,
+                                                     bool write,
+                                                     std::uint64_t lba,
+                                                     std::uint32_t nblocks) {
   assert(src != dst && "remote_io is the cross-shard path");
   Shard& a = shard(src);
   sim::Simulation& ssim = group_.sim(src);
@@ -64,7 +65,7 @@ sim::Task<bool> ShardedCluster::remote_io(int src, int dst, bool write,
         spine_ns(write ? bytes + sharded_params_.header_bytes
                        : sharded_params_.header_bytes));
   }
-  sim::Oneshot<bool> done(ssim);
+  sim::Oneshot<raid::IoOutcome> done(ssim);
   group_.post(src, dst, ssim.now() + sharded_params_.hop_latency,
               [this, src, dst, write, lba, nblocks, &done] {
                 // Runs on dst's worker inside a later window; the gateway
@@ -78,7 +79,7 @@ sim::Task<bool> ShardedCluster::remote_io(int src, int dst, bool write,
 sim::Task<> ShardedCluster::serve_remote(int src, int dst, bool write,
                                          std::uint64_t lba,
                                          std::uint32_t nblocks,
-                                         sim::Oneshot<bool>& done) {
+                                         sim::Oneshot<raid::IoOutcome>& done) {
   Shard& b = shard(dst);
   sim::Simulation& dsim = group_.sim(dst);
   raid::ArrayController& eng = *b.engine;
@@ -94,8 +95,7 @@ sim::Task<> ShardedCluster::serve_remote(int src, int dst, bool write,
   // nodes; the rotation is driven by deterministic delivery order.
   const int gateway = static_cast<int>(
       b.next_gateway++ % static_cast<std::uint64_t>(nodes_per_shard()));
-  bool ok = true;
-  bool rejected = false;
+  raid::IoOutcome outcome = raid::IoOutcome::kServed;
   try {
     if (write) {
       co_await eng.write(gateway, lba, block::Payload::zeros(bytes));
@@ -110,17 +110,14 @@ sim::Task<> ShardedCluster::serve_remote(int src, int dst, bool write,
   } catch (const raid::AdmissionError&) {
     // Turned away by the target's admission gate: policy, not failure
     // (AdmissionError derives IoError, so it must be caught first).
-    ok = false;
-    rejected = true;
+    outcome = raid::IoOutcome::kRejected;
   } catch (const raid::IoError&) {
-    ok = false;
+    outcome = raid::IoOutcome::kFailed;
   }
-  if (ok) {
-    ++b.remote_served;
-  } else if (rejected) {
-    ++b.remote_rejected;
-  } else {
-    ++b.remote_failed;
+  switch (outcome) {
+    case raid::IoOutcome::kServed: ++b.remote_served; break;
+    case raid::IoOutcome::kRejected: ++b.remote_rejected; break;
+    case raid::IoOutcome::kFailed: ++b.remote_failed; break;
   }
   {
     // Reply rides the spine back: payload for reads, an ack for writes.
@@ -130,7 +127,7 @@ sim::Task<> ShardedCluster::serve_remote(int src, int dst, bool write,
                        : bytes + sharded_params_.header_bytes));
   }
   group_.post(dst, src, dsim.now() + sharded_params_.hop_latency,
-              [&done, ok] { done.set(ok); });
+              [&done, outcome] { done.set(outcome); });
 }
 
 void ShardedCluster::arm_faults(const ha::FaultPlan& plan,

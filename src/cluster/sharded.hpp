@@ -105,10 +105,11 @@ class ShardedCluster {
   /// Execute one op against shard `dst`'s array on behalf of a client in
   /// shard `src`: uplink serialization, spine hop, gateway execution on
   /// dst, reply hop.  Must be awaited from a coroutine running on shard
-  /// `src`'s Simulation.  Returns false on I/O failure at the far end,
-  /// or when dst's admission gate turns the request away.
-  sim::Task<bool> remote_io(int src, int dst, bool write, std::uint64_t lba,
-                            std::uint32_t nblocks);
+  /// `src`'s Simulation.  Resolves to kFailed on I/O failure at the far
+  /// end and to kRejected when dst's admission gate turns the request away.
+  sim::Task<raid::IoOutcome> remote_io(int src, int dst, bool write,
+                                       std::uint64_t lba,
+                                       std::uint32_t nblocks);
 
   /// Partition a global fault plan (disk/node ids in federation-global
   /// space: shard s owns disks [s*disks_per_shard, ...) and nodes
@@ -125,7 +126,8 @@ class ShardedCluster {
 
  private:
   sim::Task<> serve_remote(int src, int dst, bool write, std::uint64_t lba,
-                           std::uint32_t nblocks, sim::Oneshot<bool>& done);
+                           std::uint32_t nblocks,
+                           sim::Oneshot<raid::IoOutcome>& done);
   sim::Time spine_ns(std::uint64_t bytes) const;
 
   ClusterParams group_params_;

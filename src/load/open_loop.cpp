@@ -105,16 +105,24 @@ sim::Task<> remote_request(Shared& sh, int tenant, std::uint64_t slot,
   const std::uint64_t bytes =
       static_cast<std::uint64_t>(cfg.blocks_per_op) * sh.engine.block_bytes();
   const sim::Time t0 = sim.now();
-  const bool ok = co_await sh.config.remote.exec(slot, cfg.blocks_per_op,
-                                                 write);
-  if (ok) {
-    ++r.completed;
-    r.bytes_completed += bytes;
-    r.latency.observe(static_cast<std::uint64_t>(sim.now() - t0));
-    obs::note_slo_request(sim, sim.now() - t0, /*ok=*/true);
-  } else {
-    ++r.failed;
-    obs::note_slo_request(sim, sim.now() - t0, /*ok=*/false);
+  const raid::IoOutcome outcome =
+      co_await sh.config.remote.exec(slot, cfg.blocks_per_op, write);
+  switch (outcome) {
+    case raid::IoOutcome::kServed:
+      ++r.completed;
+      r.bytes_completed += bytes;
+      r.latency.observe(static_cast<std::uint64_t>(sim.now() - t0));
+      obs::note_slo_request(sim, sim.now() - t0, /*ok=*/true);
+      break;
+    case raid::IoOutcome::kRejected:
+      // The far end's gate said no: policy, as on the local path, so it
+      // neither fails nor counts against the SLO.
+      ++r.rejected;
+      break;
+    case raid::IoOutcome::kFailed:
+      ++r.failed;
+      obs::note_slo_request(sim, sim.now() - t0, /*ok=*/false);
+      break;
   }
   --sh.in_flight;
   if (sim.now() > sh.last_completion) sh.last_completion = sim.now();

@@ -35,6 +35,12 @@ class AdmissionError : public IoError {
   using IoError::IoError;
 };
 
+/// How a request ended, as its sender counts it.  Paths that hand a
+/// request to another party and get back only a verdict (the cross-shard
+/// and cross-site gateways) report this instead of rethrowing, so a
+/// turn-away by the far end's gate stays apart from a real I/O failure.
+enum class IoOutcome { kServed, kFailed, kRejected };
+
 class AdmissionGate {
  public:
   virtual ~AdmissionGate() = default;

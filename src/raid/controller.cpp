@@ -363,19 +363,10 @@ sim::Task<> ArrayController::cached_write_chunk(
   // drains it; write-through is transiently dirty until its own disk write
   // below lands and end_write_through() settles the block (see
   // cache_fabric.hpp on why the disk write landing is not enough).
-  // The cache stores materialized copies; zero-run payloads view a
-  // per-chunk scratch block instead (the cached contents are zeros either
-  // way, and the perf sweeps never attach a cache).
-  const std::vector<std::byte> zero_block(
-      data.is_zeros() ? bs : 0, std::byte{0});
   std::vector<std::uint64_t> epochs(nblocks);
   for (std::uint32_t i = 0; i < nblocks; ++i) {
-    const std::span<const std::byte> blk =
-        data.is_zeros()
-            ? std::span<const std::byte>(zero_block)
-            : data.bytes().subspan(static_cast<std::size_t>(i) * bs, bs);
     epochs[i] = co_await cache_->write_block(
-        node, lba + i, blk,
+        node, lba + i, data.slice(static_cast<std::size_t>(i) * bs, bs),
         /*dirty=*/true, piggybacked, /*through=*/!write_back, ctx);
   }
   if (write_back) {
@@ -445,8 +436,7 @@ sim::Task<bool> ArrayController::flush_block(int node, std::uint64_t lba) {
   if (auto snap = cache_->resnapshot(node, lba)) {
     version = snap->version;
     try {
-      co_await write_chunk(node, lba,
-                           block::Payload(std::move(snap->data)),
+      co_await write_chunk(node, lba, std::move(snap->data),
                            disk::IoPriority::kBackground, span.ctx());
     } catch (...) {
       ok = false;  // stays dirty; the cache holds the only current copy

@@ -116,8 +116,9 @@ sim::Task<bool> Federation::ship(const std::vector<Link*>& path, int from,
   co_return true;
 }
 
-sim::Task<bool> Federation::remote_io(int src, std::uint64_t slot,
-                                      std::uint32_t nblocks, bool write) {
+sim::Task<raid::IoOutcome> Federation::remote_io(int src, std::uint64_t slot,
+                                                 std::uint32_t nblocks,
+                                                 bool write) {
   const auto peers = static_cast<std::uint64_t>(params_.sites - 1);
   const int dst =
       (src + 1 + static_cast<int>(slot % peers)) % params_.sites;
@@ -129,8 +130,13 @@ sim::Task<bool> Federation::remote_io(int src, std::uint64_t slot,
   const std::uint64_t off =
       span == 0 ? 0 : (slot * 2654435761ull) % (span + 1);
   const std::uint64_t lba = region_base(dst) + off;
-  if (write) co_return co_await remote_write(src, lba, nblocks);
-  co_return co_await remote_read(src, lba, nblocks);
+  bool ok = false;
+  if (write) {
+    ok = co_await remote_write(src, lba, nblocks);
+  } else {
+    ok = co_await remote_read(src, lba, nblocks);
+  }
+  co_return ok ? raid::IoOutcome::kServed : raid::IoOutcome::kFailed;
 }
 
 sim::Task<bool> Federation::remote_read(int src, std::uint64_t lba,

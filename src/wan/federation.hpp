@@ -131,9 +131,10 @@ class Federation {
   }
 
   /// Open-loop RemoteHook entry: map a Zipf popularity slot from `src`
-  /// onto a peer site's primary region and run the cross-site op.
-  sim::Task<bool> remote_io(int src, std::uint64_t slot,
-                            std::uint32_t nblocks, bool write);
+  /// onto a peer site's primary region and run the cross-site op.  Sites
+  /// have no admission gate, so the outcome is kServed or kFailed.
+  sim::Task<raid::IoOutcome> remote_io(int src, std::uint64_t slot,
+                                       std::uint32_t nblocks, bool write);
 
   /// Cross-site read of [lba, lba+nblocks) homed at home_of(lba), on
   /// behalf of site `src` (cache -> WAN origin -> geo-mirror).

@@ -27,8 +27,8 @@ using test::pattern_block;
 using test::pattern_run;
 using test::Rig;
 
-std::vector<std::byte> block_of(std::uint8_t v, std::uint32_t bs = 512) {
-  return std::vector<std::byte>(bs, std::byte{v});
+block::Payload block_of(std::uint8_t v, std::uint32_t bs = 512) {
+  return block::Payload(std::vector<std::byte>(bs, std::byte{v}));
 }
 
 // ------------------------------------------------------------ NodeCache --
@@ -99,6 +99,43 @@ TEST(NodeCache2Q, SequentialScanCannotDisplaceHotBlocks) {
   EXPECT_FALSE(lru.contains(100));
 }
 
+TEST(NodeCache, EntriesShareTheInsertedStorage) {
+  NodeCache c(4, 512, EvictionPolicy::kLru);
+  const block::Payload p = block_of(3);
+  c.insert(5, p, /*dirty=*/false);
+  ASSERT_NE(c.lookup(5), nullptr);
+  EXPECT_EQ(c.lookup(5)->bytes().data(), p.bytes().data());
+  EXPECT_EQ(c.peek(5)->bytes().data(), p.bytes().data());
+  EXPECT_EQ(c.lookup(6), nullptr);
+  EXPECT_EQ(c.peek(6), nullptr);
+}
+
+// ------------------------------------------------ zero-run compaction --
+
+// One buffer of `n` zero bytes with byte `pos` set (pos >= n: all zero).
+std::vector<std::byte> zeros_but(std::size_t n, std::size_t pos) {
+  std::vector<std::byte> v(n, std::byte{0});
+  if (pos < n) v[pos] = std::byte{0x5a};
+  return v;
+}
+
+TEST(PayloadCopyOrZeros, EdgeSizes) {
+  // Empty, shorter than one 256-byte step, exact multiples of the step,
+  // and a multiple plus a tail.
+  for (std::size_t n : {0u, 1u, 255u, 256u, 512u, 32768u, 300u}) {
+    const block::Payload z = block::Payload::copy_or_zeros(zeros_but(n, n));
+    EXPECT_TRUE(z.is_zeros()) << n;
+    EXPECT_EQ(z.size(), n);
+    if (n == 0) continue;
+    for (std::size_t pos : {std::size_t{0}, n / 2, n - 1}) {
+      const auto v = zeros_but(n, pos);
+      const block::Payload p = block::Payload::copy_or_zeros(v);
+      ASSERT_FALSE(p.is_zeros()) << n << "@" << pos;
+      EXPECT_EQ(p.to_vector(), v) << n << "@" << pos;
+    }
+  }
+}
+
 // ------------------------------------------------- engine + cache rigs --
 
 CacheParams cache_params(WritePolicy policy, std::uint64_t capacity = 256,
@@ -133,7 +170,90 @@ sim::Task<> do_read(raid::ArrayController* eng, int client, std::uint64_t lba,
   co_await eng->read(client, lba, nblocks, *out);
 }
 
+sim::Task<> read_one(CacheFabric* cache, int node, std::uint64_t lba,
+                     std::vector<std::byte>* out, bool* hit) {
+  *hit = co_await cache->read_block(node, node, lba, *out);
+}
+
+TEST(CacheFill, AllZeroBlockIsStoredAsZeroRun) {
+  const std::uint32_t bs = 32768;
+  CacheRig cr(cache_params(WritePolicy::kWriteThrough),
+              test::small_cluster(4, 1, 64, bs));
+  cr.cache.fill(0, 7, zeros_but(bs, bs), cr.cache.write_epoch(7));
+  const block::Payload* entry = cr.cache.cache(0).peek(7);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_TRUE(entry->is_zeros());
+  EXPECT_EQ(entry->size(), bs);
+
+  std::vector<std::byte> got(bs, std::byte{0xff});
+  bool hit = false;
+  cr.rig.run(read_one(&cr.cache, 0, 7, &got, &hit));
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(got, zeros_but(bs, bs));
+}
+
+TEST(CacheFill, OneNonzeroByteIsCopiedByteExact) {
+  // The byte sits at the first position, in the last 256-byte step of a
+  // 32 KB block, and in the sub-step tail of a block that is not a
+  // multiple of the step.
+  struct Case {
+    std::uint32_t bs;
+    std::size_t pos;
+  };
+  for (const Case& k : {Case{32768, 0}, Case{32768, 32768 - 200},
+                        Case{32768, 32767}, Case{300, 299}}) {
+    CacheRig cr(cache_params(WritePolicy::kWriteThrough),
+                test::small_cluster(4, 1, 64, k.bs));
+    const auto data = zeros_but(k.bs, k.pos);
+    cr.cache.fill(1, 3, data, cr.cache.write_epoch(3));
+    const block::Payload* entry = cr.cache.cache(1).peek(3);
+    ASSERT_NE(entry, nullptr);
+    ASSERT_FALSE(entry->is_zeros()) << k.bs << "@" << k.pos;
+    EXPECT_EQ(entry->to_vector(), data) << k.bs << "@" << k.pos;
+  }
+}
+
 // --------------------------------------------------- write-back + flush --
+
+TEST(CacheWriteBack, FlushWritesExactlyTheCachedPayload) {
+  CacheRig cr(cache_params(WritePolicy::kWriteBack));
+  raid::Raid0Controller eng(cr.rig.fabric);
+  eng.attach_cache(&cr.cache);
+  const std::uint32_t bs = eng.block_bytes();
+
+  // Land salt-1 bytes on the disks, then cache real bytes over [0, 4) and
+  // a zero-run over [4, 8).  The cached entries are slices of the written
+  // payloads, not copies.
+  cr.rig.run(do_write(&eng, 0, 0, 8, /*salt=*/1));
+  cr.rig.run(eng.flush_cache());
+  const block::Payload data(pattern_run(0, 4, bs, /*salt=*/2));
+  auto writes = [](raid::ArrayController* e,
+                   block::Payload d) -> sim::Task<> {
+    co_await e->write(0, 0, std::move(d));
+    co_await e->write(0, 4, block::Payload::zeros(4 * e->block_bytes()));
+  };
+  cr.rig.run(writes(&eng, data));
+  ASSERT_EQ(cr.cache.dirty_blocks(0), 8u);
+  std::vector<std::byte> cached;
+  for (std::uint64_t lba = 0; lba < 8; ++lba) {
+    const block::Payload* entry = cr.cache.cache(0).peek(lba);
+    ASSERT_NE(entry, nullptr);
+    if (lba < 4) {
+      EXPECT_EQ(entry->bytes().data(), data.bytes().data() + lba * bs);
+    } else {
+      EXPECT_TRUE(entry->is_zeros());
+    }
+    const auto v = entry->to_vector();
+    cached.insert(cached.end(), v.begin(), v.end());
+  }
+
+  cr.rig.run(eng.flush_cache());
+  EXPECT_EQ(cr.cache.stats().flushes, 16u);
+  for (int n = 0; n < cr.rig.cluster.num_nodes(); ++n) cr.cache.drop_node(n);
+  std::vector<std::byte> got;
+  cr.rig.run(do_read(&eng, 2, 0, 8, &got));
+  EXPECT_EQ(got, cached);
+}
 
 TEST(CacheWriteBack, AbsorbsWritesThenFlushesByteExact) {
   CacheRig cr(cache_params(WritePolicy::kWriteBack));

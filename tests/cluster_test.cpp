@@ -2,12 +2,14 @@
 // serialization, and the sharded federation.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "cluster/sharded.hpp"
+#include "load/open_loop.hpp"
 #include "load/qos.hpp"
 #include "obs/collect.hpp"
 #include "test_util.hpp"
@@ -159,10 +161,9 @@ sim::Task<> local_burst(sim::Simulation* sim, raid::ArrayController* eng,
 
 sim::Task<> remote_burst(ShardedCluster* world, int src, int dst, int ops) {
   for (int i = 0; i < ops; ++i) {
-    const bool ok = co_await world->remote_io(src, dst, (i % 2) == 0,
-                                              static_cast<std::uint64_t>(i) * 4,
-                                              2);
-    EXPECT_TRUE(ok);
+    const raid::IoOutcome outcome = co_await world->remote_io(
+        src, dst, (i % 2) == 0, static_cast<std::uint64_t>(i) * 4, 2);
+    EXPECT_EQ(outcome, raid::IoOutcome::kServed);
   }
 }
 
@@ -260,37 +261,46 @@ TEST(ShardedCluster, FaultPlanPartitionsAcrossGroups) {
 }
 
 sim::Task<> remote_ops(ShardedCluster* world, int src, int dst, int ops,
-                       int* ok_count) {
+                       std::map<raid::IoOutcome, int>* outcomes) {
   for (int i = 0; i < ops; ++i) {
-    if (co_await world->remote_io(src, dst, /*write=*/true,
-                                  static_cast<std::uint64_t>(i) * 4, 2)) {
-      ++*ok_count;
-    }
+    ++(*outcomes)[co_await world->remote_io(
+        src, dst, /*write=*/true, static_cast<std::uint64_t>(i) * 4, 2)];
   }
 }
 
-TEST(ShardedCluster, RemoteTurnAwaysCountAsRejectedNotFailed) {
-  // Group 1's array sits behind a QoS gate whose bucket holds one 1 KB
-  // request and refills far slower than the burst below arrives: the
-  // first remote write is admitted, every later one is turned away.
-  ShardedParams sp;
-  sp.shards = 2;
-  ShardedCluster world(test::small_cluster(), sp);
+// Puts group 1's array behind `gate`, bound to every node of the group.
+void gate_group_one(ShardedCluster& world, load::QosGate& gate) {
+  for (int n = 0; n < world.nodes_per_shard(); ++n) gate.bind_client(n, 0);
+  world.engine(1).set_admission(&gate);
+}
+
+// A bucket that holds one 1 KB request and refills far slower than any
+// burst below arrives: the first request is admitted, every later one is
+// turned away.
+load::TenantQos one_request_bucket() {
   load::TenantQos q;
   q.rate_mbs = 1e-6;
   q.burst_mb = 0.0015;
   q.policy = load::AdmitPolicy::kReject;
-  load::QosGate gate(world.sim(1), {q});
-  for (int n = 0; n < world.nodes_per_shard(); ++n) gate.bind_client(n, 0);
-  world.engine(1).set_admission(&gate);
-  int ok_count = 0;
+  return q;
+}
+
+TEST(ShardedCluster, RemoteTurnAwaysCountAsRejectedNotFailed) {
+  ShardedParams sp;
+  sp.shards = 2;
+  ShardedCluster world(test::small_cluster(), sp);
+  load::QosGate gate(world.sim(1), {one_request_bucket()});
+  gate_group_one(world, gate);
+  std::map<raid::IoOutcome, int> outcomes;
   {
     auto scope = world.group().frame_scope(0);
-    world.sim(0).spawn(remote_ops(&world, 0, 1, 6, &ok_count));
+    world.sim(0).spawn(remote_ops(&world, 0, 1, 6, &outcomes));
   }
   world.run(1);
   const ShardedCluster::Shard& target = world.shard(1);
-  EXPECT_EQ(ok_count, 1);
+  EXPECT_EQ(outcomes[raid::IoOutcome::kServed], 1);
+  EXPECT_EQ(outcomes[raid::IoOutcome::kRejected], 5);
+  EXPECT_EQ(outcomes[raid::IoOutcome::kFailed], 0);
   EXPECT_EQ(target.remote_served, 1u);
   EXPECT_EQ(target.remote_rejected, 5u);
   EXPECT_EQ(target.remote_failed, 0u);
@@ -298,6 +308,33 @@ TEST(ShardedCluster, RemoteTurnAwaysCountAsRejectedNotFailed) {
   const std::string snap = world.merged_snapshot_json();
   EXPECT_NE(snap.find("\"remote.rejected\":5"), std::string::npos);
   EXPECT_NE(snap.find("\"remote.failed\":0"), std::string::npos);
+
+  // The source side of the same turn-aways: an open-loop tenant on group 0
+  // that sends every arrival across the spine books each one the target
+  // turned away as rejected, never as failed.  Group 1's own arrivals all
+  // land on the ungated group 0 and are served.
+  ShardedCluster world2(test::small_cluster(), sp);
+  load::QosGate gate2(world2.sim(1), {one_request_bucket()});
+  gate_group_one(world2, gate2);
+  load::TenantLoad t;
+  t.rate_ops = 200.0;
+  t.working_set_blocks = 64;
+  t.blocks_per_op = 2;
+  t.write_fraction = 1.0;
+  t.sessions = 4;
+  load::OpenLoopConfig cfg;
+  cfg.tenants = {t};
+  cfg.duration = sim::milliseconds(50);
+  const load::ShardedLoadResult res =
+      load::run_open_loop_sharded(world2, cfg, /*remote_fraction=*/1.0, 1);
+  const load::TenantResult& src = res.per_shard[0].tenants[0];
+  const ShardedCluster::Shard& target2 = world2.shard(1);
+  EXPECT_GT(target2.remote_rejected, 0u);
+  EXPECT_EQ(src.rejected, target2.remote_rejected);
+  EXPECT_EQ(src.failed, 0u);
+  EXPECT_EQ(src.completed, target2.remote_served);
+  EXPECT_EQ(res.per_shard[1].tenants[0].rejected, 0u);
+  EXPECT_EQ(res.failed, 0u);
 }
 
 TEST(ShardedCluster, RejectsFaultOutsideFederation) {

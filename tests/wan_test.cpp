@@ -278,8 +278,10 @@ TEST(WanFederation, RemoteReadRedirectsAroundADownLink) {
   EXPECT_EQ(fed.link_between(0, 1).bytes_carried(), 0u);
 }
 
+// `bytes` is taken by value: callers spawn this with a temporary, which a
+// reference parameter would leave dangling once the coroutine suspends.
 sim::Task<> write_pattern(wan::Federation& fed, int site, std::uint64_t lba,
-                          const std::vector<std::byte>& bytes) {
+                          std::vector<std::byte> bytes) {
   co_await fed.engine(site).write(fed.gateway(lba), lba,
                                   block::Payload::copy(bytes));
 }
