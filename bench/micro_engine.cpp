@@ -15,6 +15,7 @@
 #include "raid/raid5.hpp"
 #include "raid/raidx.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/random.hpp"
 #include "sim/resource.hpp"
 #include "sim/shard.hpp"
 #include "sim/task.hpp"
@@ -116,6 +117,53 @@ void BM_WaiterChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64 * 16);
 }
 BENCHMARK(BM_WaiterChurn);
+
+// Microsecond-scale timers, the shape of the simulated I/O path: 256
+// processes each hold one shared capacity-1 resource for 200 ns, then
+// sleep 10-200 us.  The rows above keep every delay inside one level-0
+// window; here every sleep lands on an upper wheel level and cascades
+// before it fires, which is what the wheel's geometry trades against.
+// Sleeps come from a table drawn once, so the frames stay small and the
+// row prices the engine rather than a random-number generator.
+sim::Task<> us_sleeper(sim::Simulation& sim, sim::Resource& r,
+                       const std::vector<sim::Time>& sleeps, std::size_t at,
+                       int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    {
+      auto g = co_await r.acquire();
+      co_await sim.delay(200);
+    }
+    co_await sim.delay(sleeps[(at + static_cast<std::size_t>(i)) %
+                              sleeps.size()]);
+  }
+}
+
+void BM_MicrosecondTimers(benchmark::State& state) {
+  constexpr int kProcs = 256;
+  constexpr int kRounds = 16;
+  std::vector<sim::Time> sleeps(kProcs * kRounds);
+  sim::Rng rng(42);
+  for (sim::Time& t : sleeps) {
+    t = sim::microseconds(static_cast<double>(rng.uniform_u64(10, 200)));
+  }
+  std::uint64_t cascaded = 0;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    sim::Simulation sim;
+    sim::Resource r(sim, 1);
+    for (int p = 0; p < kProcs; ++p) {
+      sim.spawn(us_sleeper(sim, r, sleeps,
+                           static_cast<std::size_t>(p) * kRounds, kRounds));
+    }
+    sim.run();
+    cascaded += sim.queue_stats().cascaded_events;
+    events += sim.events_processed();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.counters["cascades_per_event"] =
+      static_cast<double>(cascaded) / static_cast<double>(events);
+}
+BENCHMARK(BM_MicrosecondTimers);
 
 sim::Task<> shard_load(sim::Simulation& s, int events) {
   for (int i = 0; i < events; ++i) co_await s.delay(100);

@@ -1,38 +1,49 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <memory>
-#include <stdexcept>
 
 namespace raidx::sim {
 
-Simulation::~Simulation() {
-  drain_finished();
-  // Destroy any still-suspended top-level frames.  Nothing will resume them
-  // afterwards: the event queue dies with us and child frames are owned by
-  // their parents' frames, so destruction cascades safely.
-  for (auto h : processes_) {
-    if (h) h.destroy();
-  }
-  // Undrained events live only in slots whose occupancy bit is set
-  // (drain/cascade clear the bit whenever they empty a slot), so walk the
-  // bitmaps instead of all kLevels * kSlots vectors.
-  for (int l = 0; l < kLevels; ++l) {
-    std::uint64_t m = occupied_[static_cast<std::size_t>(l)];
-    while (m != 0) {
-      const auto idx = static_cast<std::size_t>(std::countr_zero(m));
-      m &= m - 1;
-      release_events(wheel_[static_cast<std::size_t>(l) * kSlots + idx]);
-    }
-  }
-  release_events(overflow_);
-}
+// Defined out of line so the constructor is user-provided: value
+// initialization (make_unique<Simulation>()) then runs it instead of first
+// zeroing the whole object, slot arrays included.
+Simulation::Simulation() = default;
 
-void Simulation::release_events(std::vector<Event>& events) {
-  for (Event& ev : events) {
+Simulation::~Simulation() { shutdown(); }
+
+void Simulation::shutdown() {
+  drain_finished();
+  // Newest-spawned first: a child spawned by a suspended parent may hold a
+  // Resource::Guard on a window the parent's frame owns, so the child must
+  // release it while that frame is still alive.  Child frames awaited with
+  // co_await are owned by their parents' frames and die with them.
+  shutting_down_ = true;
+  std::sort(processes_.begin(), processes_.end(),
+            [](const Process& a, const Process& b) {
+              return a.spawn_seq > b.spawn_seq;
+            });
+  for (const Process& p : processes_) p.handle.destroy();
+  processes_.clear();
+  shutting_down_ = false;
+  // Every queued event is either a slab node or in the overflow heap;
+  // drained nodes were reset to kResume, so only live kHeap payloads are
+  // freed here.
+  for (Event& ev : nodes_) {
     if (ev.kind == Event::Kind::kHeap) delete ev.heap;
   }
-  events.clear();
+  for (Event& ev : overflow_) {
+    if (ev.kind == Event::Kind::kHeap) delete ev.heap;
+  }
+  nodes_.clear();
+  overflow_.clear();
+  free_ = kNil;
+  occupied0_.fill(0);
+  summary0_ = 0;
+  occupied_.fill(0);
+  size_ = 0;
+  foreground_ = 0;
 }
 
 void Simulation::spawn(Task<> task) {
@@ -44,7 +55,6 @@ void Simulation::spawn(Task<> task) {
   p.on_final = [](void* owner, detail::PromiseBase* pb) {
     static_cast<Simulation*>(owner)->note_finished(pb);
   };
-  processes_.push_back(handle);
   // Start lazily via the queue so spawn() itself never re-enters user code;
   // processes spawned at the same instant start in spawn order.
   Event ev;
@@ -52,10 +62,11 @@ void Simulation::spawn(Task<> task) {
   ev.seq = next_seq_++;
   ev.kind = Event::Kind::kResume;
   ev.resume_addr = handle.address();
+  processes_.push_back(Process{handle, ev.seq});
   push(ev);
 }
 
-void Simulation::dispatch(const Event& ev) {
+void Simulation::dispatch(Event& ev) {
   ++events_processed_;
   ++dispatched_;
   switch (ev.kind) {
@@ -64,11 +75,11 @@ void Simulation::dispatch(const Event& ev) {
       if (h && !h.done()) h.resume();
       break;
     }
-    case Event::Kind::kInline: {
-      Event copy = ev;  // the invoker mutates its capture in place
-      copy.inlined.invoke(copy.inlined.buf);
+    case Event::Kind::kInline:
+      // `ev` is the drain loop's private copy; the invoker may mutate its
+      // capture in place.
+      ev.inlined.invoke(ev.inlined.buf);
       break;
-    }
     case Event::Kind::kHeap: {
       std::unique_ptr<std::function<void()>> fn(ev.heap);
       (*fn)();
@@ -77,24 +88,24 @@ void Simulation::dispatch(const Event& ev) {
   }
 }
 
-// Move every event out of the level's current slot and re-place it; each
-// lands strictly below `level` because it agrees with the clock on digit
-// `level` and everything above.  Append order (and therefore seq order for
-// equal timestamps) is preserved.
-void Simulation::cascade(int level) {
+// Re-link every node of upper level u's current slot one or more levels
+// down; each lands strictly below u because it agrees with the clock on
+// u's digit and everything above.  Walking the list in order keeps append
+// order (and therefore seq order for equal timestamps).
+void Simulation::cascade(int u) {
   const std::size_t cur =
-      (static_cast<std::uint64_t>(now_) >> (kSlotBits * level)) &
-      (kSlots - 1);
-  auto& slot = wheel_[static_cast<std::size_t>(level) * kSlots + cur];
-  occupied_[static_cast<std::size_t>(level)] &=
-      ~(std::uint64_t{1} << cur);
-  cascade_scratch_.clear();
-  cascade_scratch_.swap(slot);
-  queue_stats_.cascaded_events += cascade_scratch_.size();
-  for (const Event& ev : cascade_scratch_) place(ev);
-  // Leave no stale copies behind: the destructor frees kHeap payloads of
-  // every non-drained vector, and these were re-placed, not consumed.
-  cascade_scratch_.clear();
+      (static_cast<std::uint64_t>(now_) >> upper_shift(u)) & (kSlots - 1);
+  Slot& slot = upper_[static_cast<std::size_t>(u) * kSlots + cur];
+  occupied_[static_cast<std::size_t>(u)] &= ~bit(cur);
+  std::uint32_t n = slot.head;
+  std::uint64_t moved = 0;
+  while (n != kNil) {
+    const std::uint32_t next = nodes_[n].next;
+    place(n);
+    ++moved;
+    n = next;
+  }
+  queue_stats_.cascaded_events += moved;
 }
 
 // Pull far-future timers whose prefix window the clock has reached into the
@@ -107,9 +118,8 @@ void Simulation::migrate_overflow() {
          (static_cast<std::uint64_t>(overflow_.front().at) >>
           kPrefixShift) == prefix) {
     std::pop_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
-    const Event ev = overflow_.back();
+    place(new_node(overflow_.back()));
     overflow_.pop_back();
-    place(ev);
     ++queue_stats_.overflow_migrated;
   }
 }
@@ -126,20 +136,33 @@ bool Simulation::next_event(Time limit, Time* out) {
       migrate_overflow();
     }
     const std::uint64_t unow = static_cast<std::uint64_t>(now_);
-    const std::size_t cur0 = unow & (kSlots - 1);
-    const std::uint64_t m0 = occupied_[0] & (~std::uint64_t{0} << cur0);
+    // Level 0: the first occupied slot at or after the clock's, found in
+    // the clock's bitmap word or, via the summary, in a later one.
+    const std::size_t cur0 = unow & (kL0Slots - 1);
+    std::size_t w = cur0 / 64;
+    std::uint64_t m0 = occupied0_[w] & (~std::uint64_t{0} << (cur0 % 64));
+    if (m0 == 0) {
+      // Words above w; (2 << 63) wraps to 0, leaving an empty mask.
+      const std::uint64_t later = summary0_ & ~((std::uint64_t{2} << w) - 1);
+      if (later != 0) {
+        w = static_cast<std::size_t>(std::countr_zero(later));
+        m0 = occupied0_[w];
+      }
+    }
     if (m0 != 0) {
-      const auto idx = static_cast<std::uint64_t>(std::countr_zero(m0));
-      const Time t = static_cast<Time>((unow & ~(kSlots - 1)) | idx);
+      const std::uint64_t idx =
+          w * 64 + static_cast<std::uint64_t>(std::countr_zero(m0));
+      const Time t = static_cast<Time>((unow & ~(kL0Slots - 1)) | idx);
       if (t > limit) return false;
       *out = t;
       return true;
     }
     bool progressed = false;
-    for (int l = 1; l < kLevels; ++l) {
-      const std::size_t cur = (unow >> (kSlotBits * l)) & (kSlots - 1);
+    for (int u = 0; u < kUpperLevels; ++u) {
+      const int shift = upper_shift(u);
+      const std::size_t cur = (unow >> shift) & (kSlots - 1);
       const std::uint64_t m =
-          occupied_[static_cast<std::size_t>(l)] &
+          occupied_[static_cast<std::size_t>(u)] &
           (~std::uint64_t{0} << cur);
       if (m == 0) continue;
       const auto j = static_cast<std::size_t>(std::countr_zero(m));
@@ -147,56 +170,56 @@ bool Simulation::next_event(Time limit, Time* out) {
         // Every level below is empty and so is this level before slot j:
         // nothing can fire before j's window opens.  Enter the window
         // (a pure clock advance, no event is skipped) and cascade it.
-        const int shift = kSlotBits * (l + 1);
-        std::uint64_t w = shift >= 64 ? 0 : (unow >> shift) << shift;
-        w |= static_cast<std::uint64_t>(j) << (kSlotBits * l);
-        if (static_cast<Time>(w) > limit) return false;
-        now_ = static_cast<Time>(w);
+        const int above = shift + kSlotBits;  // at most kPrefixShift
+        std::uint64_t start = (unow >> above) << above;
+        start |= static_cast<std::uint64_t>(j) << shift;
+        if (static_cast<Time>(start) > limit) return false;
+        now_ = static_cast<Time>(start);
       }
-      cascade(l);
+      cascade(u);
       progressed = true;
       break;
     }
     if (progressed) continue;
     if (overflow_.empty()) return false;
-    const std::uint64_t w =
+    const std::uint64_t start =
         (static_cast<std::uint64_t>(overflow_.front().at) >> kPrefixShift)
         << kPrefixShift;
-    if (static_cast<Time>(w) > limit) return false;
-    if (static_cast<Time>(w) > now_) now_ = static_cast<Time>(w);
+    if (static_cast<Time>(start) > limit) return false;
+    if (static_cast<Time>(start) > now_) now_ = static_cast<Time>(start);
     migrate_overflow();
   }
 }
 
-// Dispatch every event stamped exactly `t` from its level-0 slot.  Events
-// appended mid-drain at the same timestamp (delay-0 wakeups) extend the
-// vector and fire in the same pass; an event stamped later -- possible only
-// after an empty-queue fast-forward -- stays for a later drain.
+// Dispatch every event stamped exactly `t` from its level-0 slot, popping
+// from the head.  Events appended mid-drain at the same timestamp
+// (delay-0 wakeups) join the tail and fire in the same pass; an event
+// stamped later -- possible only after an empty-queue fast-forward --
+// stays for a later drain.  Each event is unlinked and its node freed
+// before dispatch, so the queue is consistent whenever user code runs:
+// an exception out of a callback leaves the rest of the slot intact.
 void Simulation::drain_slot(Time t) {
   now_ = t;
-  const std::size_t idx = static_cast<std::uint64_t>(t) & (kSlots - 1);
-  auto& slot = wheel_[idx];
-  std::size_t i = 0;
-  try {
-    while (i < slot.size() && slot[i].at == t) {
-      const Event ev = slot[i];  // user code may grow the vector
-      ++i;
-      --size_;
-      if (!ev.daemon) --foreground_;
-      dispatch(ev);
-      if (!finished_.empty()) drain_finished();
-      if (pending_exception_) break;
+  const std::size_t idx = static_cast<std::uint64_t>(t) & (kL0Slots - 1);
+  Slot& slot = level0_[idx];
+  while (slot.head != kNil && nodes_[slot.head].at == t) {
+    const std::uint32_t n = slot.head;
+    Event& node = nodes_[n];
+    Event ev = node;  // user code may grow (and move) the slab
+    slot.head = node.next;
+    if (slot.head == kNil) {
+      occupied0_[idx / 64] &= ~bit(idx % 64);
+      if (occupied0_[idx / 64] == 0) summary0_ &= ~bit(idx / 64);
     }
-  } catch (...) {
-    slot.erase(slot.begin(), slot.begin() + static_cast<std::ptrdiff_t>(i));
-    if (slot.empty()) occupied_[0] &= ~(std::uint64_t{1} << idx);
-    throw;
-  }
-  if (i == slot.size()) {
-    slot.clear();
-    occupied_[0] &= ~(std::uint64_t{1} << idx);
-  } else {
-    slot.erase(slot.begin(), slot.begin() + static_cast<std::ptrdiff_t>(i));
+    // A free node must not look like a live heap callback to shutdown().
+    node.kind = Event::Kind::kResume;
+    node.next = free_;
+    free_ = n;
+    --size_;
+    if (!ev.daemon) --foreground_;
+    dispatch(ev);
+    if (!finished_.empty()) drain_finished();
+    if (pending_exception_) break;
   }
 }
 
@@ -207,9 +230,9 @@ void Simulation::drain_slot(Time t) {
 void Simulation::note_finished(detail::PromiseBase* p) {
   if (p->exception && !pending_exception_) pending_exception_ = p->exception;
   const std::uint32_t i = p->process_slot;
-  Task<>::Handle h = processes_[i];
+  const Task<>::Handle h = processes_[i].handle;
   processes_[i] = processes_.back();
-  processes_[i].promise().process_slot = i;
+  processes_[i].handle.promise().process_slot = i;
   processes_.pop_back();
   finished_.push_back(h);
 }

@@ -14,10 +14,17 @@
 //    captures fall back to one heap allocation.  Steady-state scheduling
 //    and dispatch of a resume allocates nothing.
 //
-//  * Ordering uses a hierarchical timing wheel: kLevels levels of 64 slots,
-//    level l spanning 64^(l+1) ns, with per-level occupancy bitmaps.
-//    Insert and extract are O(1) amortized; an event cascades at most
-//    kLevels-1 times on its way down.  Timers beyond the 2^48 ns (~3.2 day)
+//  * Each queued event is stored once, as a node of a recycled slab (a
+//    vector with a LIFO free list).  Wheel slots are intrusive FIFO lists
+//    of node indices, so cascading re-links nodes instead of copying them,
+//    and the slab stops growing once it reaches the peak queue depth.
+//
+//  * Ordering uses a hierarchical timing wheel.  Level 0 is 4096
+//    one-nanosecond slots with a two-tier occupancy bitmap (64 words plus
+//    a summary word); above it sit kUpperLevels levels of 64 slots, level
+//    l >= 1 covering bits [12 + 6(l-1), 18 + 6(l-1)) of the timestamp.
+//    Insert and extract are O(1) amortized, and a timer shorter than
+//    2^18 ns cascades at most once.  Timers beyond the 2^48 ns (~3.2 day)
 //    horizon wait in a binary min-heap keyed on (at, seq) and migrate into
 //    the wheel when the clock's prefix window reaches them.
 //
@@ -27,9 +34,10 @@
 //
 // Slot invariants that make the wheel order-exact rather than approximate:
 // every level-0 slot holds events of a single exact timestamp within the
-// clock's current 64 ns window, and every level-l slot holds events that
-// agree with the clock on all base-64 digits above l.  Cascading preserves
-// append order, so equal-timestamp events always drain in seq order.
+// clock's current 4096 ns window, and every upper slot holds events that
+// agree with the clock on all digits above its own.  Slots append at the
+// tail and cascading re-links in list order, so equal-timestamp events
+// always drain in seq order.
 #pragma once
 
 #include <algorithm>
@@ -55,7 +63,7 @@ namespace raidx::sim {
 
 class Simulation {
  public:
-  Simulation() = default;
+  Simulation();
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
   ~Simulation();
@@ -106,6 +114,21 @@ class Simulation {
   /// Start a top-level process.  The simulation takes ownership of the
   /// coroutine frame; the task body begins executing at the current time.
   void spawn(Task<> task);
+
+  /// End the world: destroy every still-suspended top-level process,
+  /// newest-spawned first, then drop every pending event (freeing heap
+  /// callbacks).  Children are always spawned after their parents, so a
+  /// child whose Resource::Guard releases into a window its parent's frame
+  /// owns dies while that frame is still alive.  The destructor calls
+  /// this; an owner whose world objects (disks, fabrics, hubs) die before
+  /// the Simulation must call it while they are still alive, because the
+  /// suspended frames hold references into them.  Nothing may be resumed
+  /// afterwards: the simulation is left empty, its clock unchanged.
+  void shutdown();
+
+  /// True while shutdown() is destroying frames.  Resource::release then
+  /// skips the handoff to waiters, whose frames may already be gone.
+  bool shutting_down() const { return shutting_down_; }
 
   /// Awaitable: suspend the calling coroutine for `d` nanoseconds.
   auto delay(Time d) {
@@ -234,6 +257,18 @@ class Simulation {
   static constexpr std::size_t kInlineBytes = 16;
 
  private:
+  static constexpr std::uint32_t kNil = 0xffffffff;
+  static constexpr int kL0Bits = 12;
+  static constexpr std::size_t kL0Slots = std::size_t{1} << kL0Bits;
+  static constexpr std::size_t kL0Words = kL0Slots / 64;
+  static constexpr int kSlotBits = 6;
+  static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
+  static constexpr int kUpperLevels = 6;
+  static constexpr int kPrefixShift =
+      kL0Bits + kSlotBits * kUpperLevels;  // 48
+  static constexpr std::uint64_t kReapMask = 0x3ff;
+  static_assert(kL0Words == 64, "one summary word covers level 0");
+
   struct Event {
     Time at;
     std::uint64_t seq;
@@ -241,9 +276,12 @@ class Simulation {
     Kind kind;
     /// Daemon events ride the queue like any other (exact timestamp order)
     /// but do not count toward foreground_, so run() can stop with them
-    /// still parked.  Lives in padding after `kind`: the event stays 48
-    /// bytes.
+    /// still parked.
     bool daemon = false;
+    /// Slab index of the next node in the same wheel slot (or free list).
+    /// Like `daemon`, it lives in padding after `kind`: a node is exactly
+    /// one 48-byte event.
+    std::uint32_t next = kNil;
     union {
       // coroutine_handle<> stored by address: its user-provided constexpr
       // ctor would otherwise delete the union's default constructor.
@@ -255,18 +293,31 @@ class Simulation {
       std::function<void()>* heap;
     };
   };
+  static_assert(sizeof(Event) == 48, "a slab node is one event");
   struct OverflowLater {
     bool operator()(const Event& a, const Event& b) const {
       if (a.at != b.at) return a.at > b.at;
       return a.seq > b.seq;
     }
   };
+  /// An intrusive FIFO list of slab nodes, meaningful only while the
+  /// slot's occupancy bit is set: the bitmaps say which slots are live,
+  /// so slots are never initialized or reset, and constructing a
+  /// Simulation does not write their 35 KB.
+  struct Slot {
+    std::uint32_t head;
+    std::uint32_t tail;
+  };
+  struct Process {
+    Task<>::Handle handle;
+    std::uint64_t spawn_seq;  // spawn order, for newest-first teardown
+  };
 
-  static constexpr int kSlotBits = 6;
-  static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
-  static constexpr int kLevels = 8;
-  static constexpr int kPrefixShift = kSlotBits * kLevels;  // 48
-  static constexpr std::uint64_t kReapMask = 0x3ff;
+  static constexpr std::uint64_t bit(std::size_t i) {
+    return std::uint64_t{1} << i;
+  }
+  /// Lowest timestamp bit of upper level u (u = 0 is wheel level 1).
+  static constexpr int upper_shift(int u) { return kL0Bits + kSlotBits * u; }
 
   /// Route an event into the wheel or the far-future overflow heap.
   void push(const Event& ev) {
@@ -280,28 +331,55 @@ class Simulation {
       ++queue_stats_.overflow_inserts;
       return;
     }
-    place(ev);
+    place(new_node(ev));
   }
 
-  /// Wheel insert proper: level = highest base-64 digit where `at` differs
-  /// from the clock (0 when equal), slot = that digit of `at`.
-  void place(const Event& ev) {
-    const std::uint64_t x = static_cast<std::uint64_t>(ev.at) ^
-                            static_cast<std::uint64_t>(now_);
-    const int l =
-        x == 0 ? 0 : (63 - std::countl_zero(x)) / kSlotBits;
-    const std::size_t idx =
-        (static_cast<std::uint64_t>(ev.at) >> (kSlotBits * l)) &
-        (kSlots - 1);
-    auto& slot = wheel_[static_cast<std::size_t>(l) * kSlots + idx];
-    // Slots keep their capacity across drains, so steady state never
-    // allocates; seed fresh slots with room for 16 events to skip the
-    // 1->2->4->8 growth chain a cold simulation would otherwise pay.
-    if (slot.size() == slot.capacity()) [[unlikely]] {
-      slot.reserve(slot.empty() ? 16 : slot.size() * 2);
+  /// Store `ev` in a slab node: the most recently freed one, or a new one
+  /// once the slab is at its high-water mark.
+  std::uint32_t new_node(const Event& ev) {
+    std::uint32_t n = free_;
+    if (n != kNil) {
+      free_ = nodes_[n].next;
+      nodes_[n] = ev;
+    } else {
+      n = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.push_back(ev);
     }
-    slot.push_back(ev);
-    occupied_[static_cast<std::size_t>(l)] |= std::uint64_t{1} << idx;
+    return n;
+  }
+
+  /// Wheel insert proper: append node `n` to the tail of its slot.  Level
+  /// 0 when `at` agrees with the clock above bit 12 (slot = the low 12
+  /// bits), else the upper level holding the highest differing bit (slot =
+  /// that level's 6-bit digit of `at`).
+  void place(std::uint32_t n) {
+    Event& ev = nodes_[n];
+    ev.next = kNil;
+    const std::uint64_t at = static_cast<std::uint64_t>(ev.at);
+    const std::uint64_t x = at ^ static_cast<std::uint64_t>(now_);
+    Slot* slot;
+    std::uint64_t* word;
+    std::uint64_t mask;
+    if (x < kL0Slots) {
+      const std::size_t idx = at & (kL0Slots - 1);
+      slot = &level0_[idx];
+      word = &occupied0_[idx / 64];
+      mask = bit(idx % 64);
+      summary0_ |= bit(idx / 64);
+    } else {
+      const int u = (63 - std::countl_zero(x) - kL0Bits) / kSlotBits;
+      const std::size_t idx = (at >> upper_shift(u)) & (kSlots - 1);
+      slot = &upper_[static_cast<std::size_t>(u) * kSlots + idx];
+      word = &occupied_[static_cast<std::size_t>(u)];
+      mask = bit(idx);
+    }
+    if ((*word & mask) != 0) {
+      nodes_[slot->tail].next = n;
+    } else {
+      *word |= mask;
+      slot->head = n;
+    }
+    slot->tail = n;
   }
 
   /// delay() suspension: symmetric-transfer fast path when nothing else is
@@ -325,16 +403,15 @@ class Simulation {
   }
 
   bool next_event(Time limit, Time* out);
-  void cascade(int level);
+  void cascade(int u);
   void migrate_overflow();
   void drain_slot(Time t);
-  void dispatch(const Event& ev);
+  void dispatch(Event& ev);
   // O(1) process retirement: finished top-level frames report in via the
   // promise's on_final hook; their frames are destroyed on the next pass
   // through the drain loop (never from inside their own resume).
   void note_finished(detail::PromiseBase* p);
   void drain_finished();
-  static void release_events(std::vector<Event>& events);
 
   Time now_ = 0;
   obs::Hub* hub_ = nullptr;
@@ -344,12 +421,17 @@ class Simulation {
   std::size_t size_ = 0;
   std::size_t foreground_ = 0;  // size_ minus parked daemon events
   bool unbounded_drain_ = false;
+  bool shutting_down_ = false;
   QueueStats queue_stats_;
-  std::array<std::vector<Event>, kSlots * kLevels> wheel_;
-  std::array<std::uint64_t, kLevels> occupied_{};
+  std::vector<Event> nodes_;  // the slab; free nodes chain through `next`
+  std::uint32_t free_ = kNil;
+  std::array<Slot, kL0Slots> level0_;  // left uninitialized, see Slot
+  std::array<std::uint64_t, kL0Words> occupied0_{};
+  std::uint64_t summary0_ = 0;  // bit w set <=> occupied0_[w] != 0
+  std::array<Slot, kSlots * kUpperLevels> upper_;
+  std::array<std::uint64_t, kUpperLevels> occupied_{};
   std::vector<Event> overflow_;
-  std::vector<Event> cascade_scratch_;
-  std::vector<Task<>::Handle> processes_;
+  std::vector<Process> processes_;
   std::vector<std::coroutine_handle<>> finished_;
   std::exception_ptr pending_exception_;
   FramePool frame_pool_;

@@ -34,17 +34,21 @@ void Resource::enqueue(int priority, Waiter* w) {
 }
 
 void Resource::release() {
-  for (auto& q : waiters_) {
-    if (q.head != nullptr) {
-      // Hand the slot straight to the waiter: in_use_ is unchanged.  The
-      // node lives in the waiter's frame, which stays suspended (and its
-      // memory valid) until the scheduled resume fires.
-      Waiter* w = q.head;
-      q.head = w->next;
-      if (q.head == nullptr) q.tail = nullptr;
-      --q.count;
-      sim_.schedule_resume(0, w->handle);
-      return;
+  // Simulation::shutdown() may already have destroyed the frames that own
+  // the waiter nodes, and nothing runs after it: just return the slot.
+  if (!sim_.shutting_down()) {
+    for (auto& q : waiters_) {
+      if (q.head != nullptr) {
+        // Hand the slot straight to the waiter: in_use_ is unchanged.  The
+        // node lives in the waiter's frame, which stays suspended (and its
+        // memory valid) until the scheduled resume fires.
+        Waiter* w = q.head;
+        q.head = w->next;
+        if (q.head == nullptr) q.tail = nullptr;
+        --q.count;
+        sim_.schedule_resume(0, w->handle);
+        return;
+      }
     }
   }
   note_busy_change();

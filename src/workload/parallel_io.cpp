@@ -85,6 +85,7 @@ sim::Task<> client_task(Shared& sh, int client_idx, std::uint64_t region_lba,
       if (measured) {
         sh.latency.add(sim.now() - t0);
         r.bytes += sh.config.bytes_per_op;
+        ++r.ops;
         if (obs::Hub* hub = sim.hub()) {
           hub->registry()
               .histogram(sh.config.op == IoOp::kRead
@@ -147,7 +148,10 @@ ParallelIoResult run_parallel_io(raid::ArrayController& engine,
     if (first < 0 || cr.start < first) first = cr.start;
     if (cr.end > last) last = cr.end;
     bytes += cr.bytes;
+    result.ops_completed += cr.ops;
   }
+  result.ops_issued = static_cast<std::uint64_t>(config.clients) *
+                      static_cast<std::uint64_t>(config.ops_per_client);
   result.elapsed = last - first;
   result.aggregate_mbs = sim::bandwidth_mbs(bytes, result.elapsed);
   result.background_drain = sim.now() - last;

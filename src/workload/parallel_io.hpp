@@ -48,6 +48,7 @@ struct ClientResult {
   sim::Time start = 0;
   sim::Time end = 0;
   std::uint64_t bytes = 0;
+  std::uint64_t ops = 0;  // measured-pass ops that returned
 };
 
 struct ParallelIoResult {
@@ -64,6 +65,14 @@ struct ParallelIoResult {
   /// Simulated time spent draining deferred work after the last client
   /// finished (RAID-x background image flushes).
   sim::Time background_drain = 0;
+  /// Ops of the measured pass: issued counts every op the clients issue
+  /// back to back (clients x ops_per_client), completed the ones that
+  /// returned.  The simulation stops once no event is left, so a client
+  /// stuck on a request nothing will ever answer -- a partition that
+  /// outlives its retries -- ends the run early with completed < issued
+  /// (and every bandwidth figure above meaningless).
+  std::uint64_t ops_issued = 0;
+  std::uint64_t ops_completed = 0;
 };
 
 /// Run the workload to completion (including background flushes) on a

@@ -1,13 +1,21 @@
 // Unit tests for the discrete-event simulation engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <new>
 #include <random>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 // Counting allocator: every global operator-new in this binary bumps a
@@ -535,7 +543,8 @@ Time stress_delay(int id) {
   switch (r() % 5) {
     case 0:  // heavy collisions, including zero-delay same-instant appends
       return static_cast<Time>(r() % 4);
-    case 1: {  // one off either side of a slot-cascade boundary
+    case 1: {  // one off either side of a level-0 bitmap word edge (64)
+               // or a wheel level edge (4096, 2^18, 2^24, 2^30)
       static constexpr std::uint64_t kBoundary[] = {64, 4096, 262144,
                                                     16777216, 1073741824};
       return static_cast<Time>(kBoundary[r() % 5] +
@@ -615,6 +624,182 @@ TEST(Simulation, RandomizedScheduleMatchesSortedVectorOracle) {
   // The delay mix must actually have exercised the interesting machinery.
   EXPECT_GT(h.sim.queue_stats().overflow_inserts, 0u);
   EXPECT_GT(h.sim.queue_stats().cascaded_events, 0u);
+}
+
+// Level 0 spans 4096 one-nanosecond slots tracked by 64 bitmap words and a
+// summary word.  Equal timestamps must keep insertion order on both sides
+// of a word edge (63/64/65) and of the level-0/level-1 edge (4095/4096/
+// 4097), including events that reach the same instant from different
+// levels: some are scheduled from the window start (the 4096+ ones land on
+// level 1 and cascade), others mid-window by callbacks.
+TEST(Simulation, EqualTimestampsKeepOrderAtLevel0WordEdges) {
+  constexpr Time kWindow = 4096;
+  const Time offsets[] = {4097, 63, 4096, 65, 64, 4095};
+  Simulation sim;
+  sim.schedule(3 * kWindow, [] {});
+  sim.run();
+  ASSERT_EQ(sim.now(), 3 * kWindow);
+  const Time base = sim.now();
+
+  // (offset, id) in firing order; ids are handed out in schedule order, so
+  // a correct engine fires them sorted lexicographically.
+  std::vector<std::pair<Time, int>> fired;
+  int next_id = 0;
+  std::function<void(Time)> add = [&](Time at) {
+    const int id = next_id++;
+    sim.schedule(base + at - sim.now(), [&, id] {
+      fired.emplace_back(sim.now() - base, id);
+      // The first arrival at each edge slot schedules a late twin for the
+      // next edge instant from inside the window.
+      if (id < 6 && sim.now() - base != 4097) add(sim.now() - base + 1);
+    });
+  };
+  for (int rep = 0; rep < 3; ++rep) {
+    for (Time o : offsets) add(o);
+  }
+  sim.run();
+  ASSERT_EQ(fired.size(), 18u + 5u);
+  EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+  EXPECT_GT(sim.queue_stats().cascaded_events, 0u);
+}
+
+// The level-0 scan must find the next occupied slot through the summary
+// word when the clock's own bitmap word is empty above it, skipping every
+// empty word in between, and a bounded probe must stop short of it.
+TEST(Simulation, Level0ScanSkipsEmptyBitmapWords) {
+  Simulation sim;
+  sim.schedule(2 * 4096 + 70, [] {});  // clock to slot 70 (word 1)
+  sim.run();
+  const Time base = sim.now();
+  std::vector<Time> fired;
+  // Slots 4095 (word 63), 73 (word 1), 4000 (word 62), 71 (word 1).
+  for (Time o : {Time{4025}, Time{3}, Time{3930}, Time{1}}) {
+    sim.schedule(o, [&] { fired.push_back(sim.now() - base); });
+  }
+  EXPECT_EQ(sim.next_event_time(), base + 1);
+  ASSERT_FALSE(sim.run_until(base + 3));
+  EXPECT_EQ(fired, (std::vector<Time>{1, 3}));
+  // Words 2..61 are empty: a probe below slot 4000 sees nothing and leaves
+  // the clock where it was, an unbounded one finds word 62.
+  EXPECT_EQ(sim.next_event_time(base + 3929), Simulation::kNoEvent);
+  EXPECT_EQ(sim.now(), base + 3);
+  EXPECT_EQ(sim.next_event_time(), base + 3930);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<Time>{1, 3, 3930, 4025}));
+}
+
+// run_until() drags the clock to its deadline with events still pending,
+// here across a 4096 ns window boundary; later inserts at the pending
+// events' instants must still fire after them, and an insert at the new
+// clock instant must fire first.
+TEST(Simulation, RunUntilJumpAcrossWindowKeepsSameInstantOrder) {
+  Simulation sim;
+  std::vector<char> order;
+  sim.schedule(10000, [&] { order.push_back('A'); });
+  sim.schedule(9000, [&] { order.push_back('B'); });
+  ASSERT_FALSE(sim.run_until(5000));
+  EXPECT_EQ(sim.now(), 5000);
+  sim.schedule(5000, [&] { order.push_back('C'); });  // at 10000, after A
+  sim.schedule(4000, [&] { order.push_back('D'); });  // at 9000, after B
+  sim.schedule(0, [&] { order.push_back('E'); });     // at 5000
+  ASSERT_FALSE(sim.run_until(9500));
+  EXPECT_EQ(sim.now(), 9500);
+  sim.schedule(500, [&] { order.push_back('F'); });  // at 10000, after C
+  sim.run();
+  EXPECT_EQ(order, (std::vector<char>{'E', 'B', 'D', 'A', 'C', 'F'}));
+}
+
+// A callback that throws escapes run(); the events it shared an instant
+// with stay queued and fire on the next run(), in order.
+TEST(Simulation, ThrowMidDrainLeavesRestOfInstantDispatchable) {
+  Simulation sim;
+  std::vector<int> order;
+  sim.schedule(100, [&] { order.push_back(1); });
+  sim.schedule(100, [] { throw std::runtime_error("boom"); });
+  sim.schedule(100, [&] { order.push_back(3); });
+  sim.schedule(100, [&] { order.push_back(4); });
+  sim.schedule(200, [&] { order.push_back(5); });
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(sim.pending_events(), 3u);
+  sim.schedule(0, [&] { order.push_back(6); });  // same instant, after 4
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 4, 6, 5}));
+}
+
+// Heap-stored callbacks still queued when the simulation dies -- in level
+// 0, in an upper level, in the overflow heap, and in slab nodes recycled
+// after a drain -- are destroyed with it, captures and all.
+TEST(Simulation, DestructionFreesPendingHeapCallbacks) {
+  auto token = std::make_shared<int>(0);
+  {
+    Simulation sim;
+    // shared_ptr captures are not trivially copyable: kHeap events.
+    for (Time d : {Time{5}, Time{10}, Time{100}, Time{1} << 30,
+                   (Time{1} << 48) + 7}) {
+      sim.schedule(d, [token] { ++*token; });
+    }
+    ASSERT_FALSE(sim.run_until(50));
+    EXPECT_EQ(*token, 2);
+    sim.schedule(1, [token] { ++*token; });  // reuses a freed node
+    EXPECT_EQ(sim.queue_stats().heap_callbacks, 6u);
+    EXPECT_EQ(token.use_count(), 5);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(*token, 2);
+}
+
+// Teardown of suspended process trees: a parent owning a window Resource
+// spawns children that acquire it (one holds the slot, one waits).  The
+// children must die before the parent, or the holder's guard releases into
+// the parent's freed window; and the release must not hand the slot to the
+// waiter, whose frame is already gone.  Witness makes every frame here
+// larger than the frame pool's biggest class, so frames live on the heap
+// and ASan sees either use after free.
+struct Witness {
+  std::vector<std::string>* log;
+  const char* name;
+  std::array<std::byte, 2 * FramePool::kMaxPooled> pad{};
+  ~Witness() { log->push_back(name); }
+};
+
+Task<> windowed_child(Simulation& sim, Resource& window,
+                      std::vector<std::string>* log, const char* name) {
+  Witness w{log, name};
+  auto slot = co_await window.acquire();
+  co_await sim.delay(1'000'000);
+}
+
+Task<> window_parent(Simulation& sim, std::vector<std::string>* log) {
+  Witness w{log, "parent"};
+  Resource window(sim, 1);
+  sim.spawn(windowed_child(sim, window, log, "holder"));
+  sim.spawn(windowed_child(sim, window, log, "waiter"));
+  co_await sim.delay(2'000'000);
+}
+
+TEST(Simulation, TeardownDestroysChildrenBeforeParents) {
+  std::vector<std::string> log;
+  {
+    Simulation sim;
+    sim.spawn(window_parent(sim, &log));
+    ASSERT_FALSE(sim.run_until(10));
+    EXPECT_EQ(sim.pending_events(), 2u);  // parent and holder delays
+    EXPECT_TRUE(log.empty());
+  }
+  EXPECT_EQ(log, (std::vector<std::string>{"waiter", "holder", "parent"}));
+
+  // shutdown() does the same for an owner that must tear down before its
+  // world objects die, and leaves an empty simulation behind.
+  log.clear();
+  Simulation sim;
+  sim.spawn(window_parent(sim, &log));
+  ASSERT_FALSE(sim.run_until(10));
+  sim.shutdown();
+  EXPECT_EQ(log, (std::vector<std::string>{"waiter", "holder", "parent"}));
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.foreground_pending(), 0u);
+  EXPECT_TRUE(sim.run_until(100));
 }
 
 Task<> steady_hopper(Simulation& sim, int hops) {

@@ -17,7 +17,9 @@ makes it usable as a CI regression gate:
 
 A threshold of 0.0 demands bit-identical numbers -- the contract this
 simulator actually makes, since every reported figure is a deterministic
-function of the simulated cluster, never of the engine's internals.
+function of the simulated cluster.  The one engine-internal count in the
+snapshots, ``sim.queue.cascaded_events``, also depends on the timing
+wheel's geometry, so a wheel change regenerates the baselines.
 
 ``--require REGEX`` (repeatable; each pattern must match at least one
 candidate key) guards gated key families: a bench that silently loses its

@@ -510,6 +510,17 @@ workload::Arch parse_arch(const std::string& s) {
   std::exit(2);
 }
 
+// A run can end with processes still suspended (requests outliving their
+// RPC timeouts, clients stuck behind a partition).  Their frames hold
+// references into the cluster, fabric, engine and hub, all of which are
+// declared after the Simulation and so die before it.  Declared after the
+// last of them, this destroys those frames while everything they touch is
+// still alive.
+struct Teardown {
+  sim::Simulation& sim;
+  ~Teardown() { sim.shutdown(); }
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1322,6 +1333,7 @@ int main(int argc, char** argv) {
       drivers.push_back(
           std::make_unique<load::OpenLoopDriver>(fed->engine(s), cfg));
     }
+    const Teardown teardown{sim};
     try {
       for (auto& d : drivers) d->start();
       sim.run();
@@ -1624,6 +1636,7 @@ int main(int argc, char** argv) {
                 plan.describe().c_str());
     plan.arm(cluster, orch.get(), plane.get());
   }
+  const Teardown teardown{sim};
 
   auto print_ha_summary = [&]() {
     if (!orch) return;
@@ -1811,6 +1824,9 @@ int main(int argc, char** argv) {
           sim, std::vector<load::TenantQos>(
                    static_cast<std::size_t>(olcli.tenants), q));
     }
+    // Queued admissions hold guards on the gate's per-tenant FIFOs, and
+    // the gate dies before the outer `teardown` runs.
+    const Teardown gate_teardown{sim};
     std::printf("raidxsim: open-loop on %s, %d tenant(s) x %.0f ops/s (%s"
                 "%s), zipf %.2f, %d sessions each%s\n",
                 engine->name().c_str(), olcli.tenants, olcli.shape.rate_ops,
@@ -1978,6 +1994,9 @@ int main(int argc, char** argv) {
   std::printf("sustained bandwidth : %8.2f MB/s (incl. background drain)\n",
               r.sustained_mbs);
   std::printf("elapsed             : %8.3f s\n", sim::to_seconds(r.elapsed));
+  std::printf("ops                 : %llu of %llu completed\n",
+              static_cast<unsigned long long>(r.ops_completed),
+              static_cast<unsigned long long>(r.ops_issued));
   std::printf("op latency          : mean %.2f ms, p50 %.2f, p95 %.2f, "
               "max %.2f\n",
               r.op_latency.mean() / 1e6,
@@ -2027,5 +2046,18 @@ int main(int argc, char** argv) {
   print_ha_summary();
   const int soak_rc = print_integrity_summary();
   const int obs_rc = export_obs();
-  return obs_rc != 0 ? obs_rc : soak_rc;
+  if (obs_rc != 0 || soak_rc != 0) return obs_rc != 0 ? obs_rc : soak_rc;
+  // Ops that never completed leave nothing for the figures above to
+  // measure: the run failed even though no op raised an error.
+  if (r.ops_completed < r.ops_issued) {
+    std::fprintf(stderr,
+                 "%s: %llu of %llu ops never completed (the run ended with "
+                 "requests still suspended)\n",
+                 argv[0],
+                 static_cast<unsigned long long>(r.ops_issued -
+                                                 r.ops_completed),
+                 static_cast<unsigned long long>(r.ops_issued));
+    return 1;
+  }
+  return 0;
 }
