@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "block/sios.hpp"
+#include "cdd/cdd.hpp"
+#include "cluster/cluster.hpp"
 #include "raid/raid0.hpp"
 #include "raid/raid10.hpp"
 #include "raid/raid5.hpp"
@@ -214,6 +216,44 @@ void BM_CrossShardHop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kHops);
 }
 BENCHMARK(BM_CrossShardHop);
+
+// The CDD lock-state broadcast, the O(N) host cost of every lock grant
+// and release: on the paper's 16-node cluster a client on node 0 locks
+// and unlocks group 0 (homed on node 0, so the RPCs stay local) over and
+// over, and each grant and release goes out as 15 one-way sync messages
+// with their TX, switch, RX and receive-CPU events.  The per_sync_msg
+// counter is host time per sync message.
+sim::Task<> lock_cycles(cdd::CddFabric& fabric, int cycles) {
+  const std::vector<std::uint64_t> group = {0};
+  for (int i = 0; i < cycles; ++i) {
+    co_await fabric.lock_groups(0, group, 1);
+    co_await fabric.unlock_groups(0, group, 1);
+  }
+}
+
+void BM_LockSyncFanout(benchmark::State& state) {
+  constexpr int kNodes = 16;
+  constexpr int kCycles = 64;
+  auto params = cluster::ClusterParams::trojans();
+  params.geometry.nodes = kNodes;
+  params.geometry.disks_per_node = 1;
+  params.geometry.blocks_per_disk = 1024;
+  params.disk.store_data = false;
+  sim::Simulation sim;
+  cluster::Cluster cluster(sim, params);
+  cdd::CddFabric fabric(cluster);
+  for (auto _ : state) {
+    sim.spawn(lock_cycles(fabric, kCycles));
+    sim.run();
+    benchmark::DoNotOptimize(sim.events_processed());
+  }
+  const auto msgs = static_cast<double>(state.iterations()) * kCycles * 2 *
+                    (kNodes - 1);
+  state.SetItemsProcessed(static_cast<std::int64_t>(msgs));
+  state.counters["per_sync_msg"] = benchmark::Counter(
+      msgs, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_LockSyncFanout);
 
 block::ArrayGeometry bench_geo() {
   block::ArrayGeometry g;

@@ -7,28 +7,36 @@
 namespace raidx::cdd {
 
 CddService::CddService(CddFabric& fabric, int node_id)
-    : fabric_(fabric),
-      node_(node_id),
-      mailbox_(fabric.cluster().sim()),
-      locks_(fabric.cluster().sim()) {}
+    : fabric_(fabric), node_(node_id), locks_(fabric.cluster().sim()) {}
 
-sim::Task<> CddService::server_loop() {
+void CddService::post(Request req) {
+  inbox_.push_back(std::move(req));
+  if (!drain_pending_) {
+    drain_pending_ = true;
+    fabric_.cluster().sim().schedule(0, [this] { drain(); });
+  }
+}
+
+void CddService::drain() {
   auto& sim = fabric_.cluster().sim();
-  auto& node = fabric_.cluster().node(node_);
-  for (;;) {
-    Request req = co_await mailbox_.recv();
+  // Serving only schedules and spawns, so nothing posts while this runs;
+  // indexing keeps a reentrant post safe all the same.
+  for (std::size_t i = 0; i < inbox_.size(); ++i) {
+    Request& req = inbox_[i];
     if (req.op == Request::Op::kLockSync) {
       // A lock-state broadcast has no reply and leaves no state behind:
-      // only its receive CPU is charged.  Spawned here, in mailbox order,
-      // so it takes the CPU in the same order as every other request.
+      // only its receive CPU is charged, queued here in inbox order so it
+      // takes the CPU in the same order as every other request.
       ++served_;
-      sim.spawn(node.cpu_work(req.wire_bytes()));
+      fabric_.cluster().node(node_).post_cpu_work(req.wire_bytes());
       continue;
     }
     // Each request is handled concurrently; ordering on the actual disk is
     // enforced by the disk's own FIFO queue, as in a real driver.
     sim.spawn(handle(std::move(req)));
   }
+  inbox_.clear();
+  drain_pending_ = false;
 }
 
 sim::Task<> CddService::handle(Request req) {
@@ -120,9 +128,7 @@ sim::Task<> CddService::handle(Request req) {
         if (!locks_.try_acquire_now(g, req.lock_owner)) {
           co_await locks_.acquire(g, req.lock_owner);
         }
-        if (fabric_.params().replicate_lock_table) {
-          fabric_.cluster().sim().spawn(broadcast_lock_state());
-        }
+        if (fabric_.params().replicate_lock_table) broadcast_lock_state();
       }
       co_await send_reply(req.from, req.op, req.rpc_id, req.reply, Reply{},
                           serve.ctx());
@@ -137,16 +143,14 @@ sim::Task<> CddService::handle(Request req) {
       co_await node.cpu_work(req.wire_bytes());
       for (std::uint64_t g : req.lock_groups) {
         locks_.release(g, req.lock_owner);
-        if (fabric_.params().replicate_lock_table) {
-          fabric_.cluster().sim().spawn(broadcast_lock_state());
-        }
+        if (fabric_.params().replicate_lock_table) broadcast_lock_state();
       }
       co_await send_reply(req.from, req.op, req.rpc_id, req.reply, Reply{},
                           serve.ctx());
       break;
     }
     case Request::Op::kLockSync:
-      break;  // served inline by server_loop()
+      break;  // served inline by drain()
     case Request::Op::kProbe: {
       // Health query answered from device state: no media access, so a
       // probe never perturbs the disk head or queues behind data traffic.
@@ -183,24 +187,58 @@ sim::Task<> CddService::send_reply(int to, Request::Op /*op*/,
   }
 }
 
-sim::Task<> CddService::broadcast_lock_state() {
-  auto& cluster = fabric_.cluster();
-  // Background one-way traffic gets its own root trace.
-  obs::Span span = obs::trace_span(
-      cluster.sim(), {}, "cdd.replicate", obs::Track::kRequest, node_,
-      obs::SpanArgs{}.tag("node", node_));
+CddService::LockSync::LockSync(CddService& s)
+    : Send(s.fabric_.cluster().network(), &LockSync::sent), service(&s) {}
+
+void CddService::LockSync::sent(net::Network::Send& send) {
+  auto& sync = static_cast<LockSync&>(send);
+  sync.service->deliver_lock_sync(sync);
+  ++sync.peer;
+  sync.service->continue_broadcast(sync);
+}
+
+void CddService::broadcast_lock_state() {
+  if (idle_syncs_.empty()) {
+    syncs_.push_back(std::make_unique<LockSync>(*this));
+    idle_syncs_.push_back(syncs_.back().get());
+  }
+  LockSync* sync = idle_syncs_.back();
+  idle_syncs_.pop_back();
+  fabric_.cluster().sim().schedule(0, [sync] {
+    CddService& self = *sync->service;
+    // Background one-way traffic gets its own root trace.
+    sync->span = obs::trace_span(
+        self.fabric_.cluster().sim(), {}, "cdd.replicate",
+        obs::Track::kRequest, self.node_,
+        obs::SpanArgs{}.tag("node", self.node_));
+    sync->peer = 0;
+    self.continue_broadcast(*sync);
+  });
+}
+
+void CddService::continue_broadcast(LockSync& sync) {
   // One header-sized message per peer announcing the group's new owner;
   // cache invalidations piggyback on this traffic.  Peers keep no copy of
   // the table, so a partitioned peer that misses one loses nothing.
-  Request sync;
-  sync.op = Request::Op::kLockSync;
-  sync.from = node_;
-  for (int peer = 0; peer < cluster.num_nodes(); ++peer) {
-    if (peer == node_) continue;
-    const bool delivered = co_await cluster.network().transmit(
-        node_, peer, sync.wire_bytes(), span.ctx());
-    if (delivered) fabric_.service(peer).mailbox().send(sync);
+  const int nodes = fabric_.cluster().num_nodes();
+  for (; sync.peer < nodes; ++sync.peer) {
+    if (sync.peer == node_) continue;
+    // A lock-state message is a bare header: no payload, no group list.
+    if (!sync.start(node_, sync.peer, kHeaderBytes, sync.span.ctx())) {
+      return;  // LockSync::sent() picks up from here
+    }
+    deliver_lock_sync(sync);
   }
+  sync.span.close();
+  idle_syncs_.push_back(&sync);
+}
+
+void CddService::deliver_lock_sync(const LockSync& sync) {
+  if (!sync.delivered()) return;
+  Request msg;
+  msg.op = Request::Op::kLockSync;
+  msg.from = node_;
+  fabric_.service(sync.peer).post(std::move(msg));
 }
 
 CddFabric::CddFabric(cluster::Cluster& cluster, CddParams params)
@@ -208,7 +246,6 @@ CddFabric::CddFabric(cluster::Cluster& cluster, CddParams params)
   services_.reserve(static_cast<std::size_t>(cluster.num_nodes()));
   for (int i = 0; i < cluster.num_nodes(); ++i) {
     services_.push_back(std::make_unique<CddService>(*this, i));
-    cluster.sim().spawn(services_.back()->server_loop());
   }
 }
 
@@ -221,7 +258,7 @@ sim::Task<Reply> CddFabric::submit(int client, int target_node, Request req) {
     ++local_requests_;
     sim::Oneshot<Reply> slot(cluster_.sim());
     req.reply = &slot;
-    service(client).mailbox().send(std::move(req));
+    service(client).post(std::move(req));
     co_return co_await slot.wait();
   }
 
@@ -244,7 +281,7 @@ sim::Task<Reply> CddFabric::submit(int client, int target_node, Request req) {
     co_await cluster_.node(client).cpu_work(request_bytes);
     const bool delivered = co_await cluster_.network().transmit(
         client, target_node, request_bytes, ctx);
-    if (delivered) service(target_node).mailbox().send(std::move(req));
+    if (delivered) service(target_node).post(std::move(req));
     // An undelivered request with no watchdog waits forever -- exactly the
     // seed's semantics; chaos runs must configure request_timeout.
     Reply reply = co_await slot.wait();
@@ -266,7 +303,7 @@ sim::Task<Reply> CddFabric::submit(int client, int target_node, Request req) {
     co_await cluster_.node(client).cpu_work(request_bytes);
     const bool delivered = co_await cluster_.network().transmit(
         client, target_node, request_bytes, ctx);
-    if (delivered) service(target_node).mailbox().send(std::move(wire));
+    if (delivered) service(target_node).post(std::move(wire));
     cluster_.sim().schedule(timeout, [this, id] { resolve_timeout(id); });
     Reply reply = co_await slot.wait();
     if (!reply.timed_out) {

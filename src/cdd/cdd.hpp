@@ -2,8 +2,9 @@
 // single I/O space.
 //
 // One CddService runs on every node, combining the paper's three modules:
-//  * storage manager: a server loop draining the node's request mailbox and
-//    executing I/O against the locally attached disks;
+//  * storage manager: an inbox of incoming requests, drained in arrival
+//    order by a zero-delay callback, each request then executed against the
+//    locally attached disks by its own handler;
 //  * client module: redirects I/O on remotely-managed disks to the owning
 //    node's storage manager over the network ("device masquerading" -- the
 //    caller addresses any disk in the SIOS and never sees the difference
@@ -11,7 +12,9 @@
 //  * consistency module: home-node partitioned lock-group table; each grant
 //    and release is broadcast to the peers as one-way lock-state messages
 //    (modelled wire and CPU traffic that carries cache invalidations).
-//    Peers keep no replica: the home's table is the only copy.
+//    Peers keep no replica: the home's table is the only copy.  The
+//    broadcast and its receive charges are callback state machines, so
+//    the O(N) messages per grant cost no coroutine frames.
 //
 // Local requests bypass the network entirely (one kernel crossing), which is
 // exactly the property that lets a serverless cluster beat a central file
@@ -28,6 +31,7 @@
 #include "cdd/lock_table.hpp"
 #include "cdd/message.hpp"
 #include "cluster/cluster.hpp"
+#include "net/network.hpp"
 #include "sim/channel.hpp"
 #include "sim/random.hpp"
 #include "sim/task.hpp"
@@ -80,27 +84,56 @@ class CddService {
   CddService(const CddService&) = delete;
   CddService& operator=(const CddService&) = delete;
 
-  sim::Channel<Request>& mailbox() { return mailbox_; }
+  /// Deliver a request to this node's inbox.  The first post into an idle
+  /// inbox schedules a zero-delay drain; later posts join the queue and
+  /// that same drain serves them all in arrival order.  A lock-state
+  /// message is served by the drain itself (its receive CPU); any other
+  /// request starts its own handler process.
+  void post(Request req);
+
   LockGroupTable& lock_table() { return locks_; }
   int node_id() const { return node_; }
 
   std::uint64_t requests_served() const { return served_; }
+  /// Lock-state broadcasts started and not yet sent to every peer.
+  std::size_t broadcasts_in_flight() const {
+    return syncs_.size() - idle_syncs_.size();
+  }
 
  private:
   friend class CddFabric;
 
-  sim::Task<> server_loop();
+  /// One lock-state broadcast in flight: a Send re-armed for each peer in
+  /// ascending order.  Pooled per service; one abandoned by
+  /// Simulation::shutdown() is freed with the service.
+  struct LockSync : net::Network::Send {
+    explicit LockSync(CddService& s);
+    static void sent(net::Network::Send& send);
+    CddService* service;
+    int peer = 0;
+    obs::Span span;
+  };
+
+  void drain();
   sim::Task<> handle(Request req);
   sim::Task<> send_reply(int to, Request::Op op, std::uint64_t rpc_id,
                          sim::Oneshot<Reply>* slot, Reply reply,
                          obs::TraceContext ctx = {});
-  sim::Task<> broadcast_lock_state();
+  /// Announce a grant or release to every peer.  The fan-out starts from
+  /// its own zero-delay event, once the granting handler has suspended.
+  void broadcast_lock_state();
+  /// Send to the remaining peers until one send must wait.
+  void continue_broadcast(LockSync& sync);
+  void deliver_lock_sync(const LockSync& sync);
 
   CddFabric& fabric_;
   int node_;
-  sim::Channel<Request> mailbox_;
+  std::vector<Request> inbox_;
+  bool drain_pending_ = false;
   LockGroupTable locks_;
   std::uint64_t served_ = 0;
+  std::vector<std::unique_ptr<LockSync>> syncs_;
+  std::vector<LockSync*> idle_syncs_;
 };
 
 /// The cluster-wide collection of CDDs plus the client-side API that the

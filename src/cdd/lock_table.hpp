@@ -4,8 +4,10 @@
 // blocks that have been granted to a specific CDD client with write
 // permissions.  The write locks in each record are granted and released
 // atomically."  A group's lock is exclusive and waiters are served FIFO.
-// Each node manages the groups that hash to it (home-node partitioning) and
-// mirrors every grant/release to its peers so the table stays replicated.
+// Each node manages the groups that hash to it (home-node partitioning),
+// and its table is the only copy: the CddService announces every grant and
+// release to the peers as one-way lock-state messages, which they charge
+// receive CPU for and do not store.
 #pragma once
 
 #include <cstdint>

@@ -31,16 +31,58 @@ Node::Node(sim::Simulation& sim, int id, NodeParams params,
   }
 }
 
-sim::Task<> Node::cpu_work(std::uint64_t bytes) {
-  auto guard = co_await cpu_.acquire();
-  const auto per_byte = static_cast<sim::Time>(
-      params_.cpu_ns_per_byte * static_cast<double>(bytes));
-  co_await sim_.delay(params_.cpu_op_overhead + per_byte);
+bool Node::Charge::await_suspend(std::coroutine_handle<> caller) {
+  caller_ = caller;
+  if (!node_->cpu_.try_acquire()) {
+    node_->cpu_.enqueue(0, this);
+    return true;
+  }
+  return !hold();
 }
 
-sim::Task<> Node::compute(sim::Time t) {
-  auto guard = co_await cpu_.acquire();
-  co_await sim_.delay(t);
+bool Node::Charge::hold() {
+  if (node_->sim_.delay_inline(t_)) return true;
+  node_->sim_.schedule_resume(t_, caller_);
+  return false;
+}
+
+void Node::Charge::on_granted(sim::Resource::Waiter& w) {
+  auto& c = static_cast<Charge&>(w);
+  if (c.hold()) c.caller_.resume();
+}
+
+void Node::post_cpu_work(std::uint64_t bytes) {
+  sim_.schedule(0, [this, t = cpu_time(bytes)] { start_posted(t); });
+}
+
+void Node::start_posted(sim::Time t) {
+  if (cpu_.try_acquire()) {
+    hold_posted(t);
+    return;
+  }
+  if (idle_posted_.empty()) {
+    posted_.push_back(std::make_unique<Posted>());
+    Posted& fresh = *posted_.back();
+    fresh.granted = [](sim::Resource::Waiter& w) {
+      auto& posted = static_cast<Posted&>(w);
+      posted.node->idle_posted_.push_back(&posted);
+      posted.node->hold_posted(posted.t);
+    };
+    fresh.node = this;
+    idle_posted_.push_back(&fresh);
+  }
+  Posted* p = idle_posted_.back();
+  idle_posted_.pop_back();
+  p->t = t;
+  cpu_.enqueue(0, p);
+}
+
+void Node::hold_posted(sim::Time t) {
+  if (sim_.delay_inline(t)) {
+    cpu_.release();
+  } else {
+    sim_.schedule(t, [this] { cpu_.release(); });
+  }
 }
 
 }  // namespace raidx::cluster

@@ -12,6 +12,7 @@
 // default and behaves bit-identically to the pre-Device code.
 #pragma once
 
+#include <coroutine>
 #include <memory>
 #include <vector>
 
@@ -48,11 +49,48 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
+  /// Awaitable CPU charge: holds the node CPU for `t` ns, FIFO behind every
+  /// other charge, and completes as the CPU is released.  Frameless: the
+  /// awaiter lives in the caller's frame, parks there as a callback waiter
+  /// when the CPU is busy, and makes exactly the events a coroutine doing
+  /// `acquire(); delay(t); release()` would -- the grant handoff, then the
+  /// delay's round trip (or its fast path), then the release as the caller
+  /// resumes.
+  class Charge : sim::Resource::Waiter {
+   public:
+    Charge(Node& node, sim::Time t) : node_(&node), t_(t) {
+      granted = &Charge::on_granted;
+    }
+    Charge(const Charge&) = delete;
+    Charge& operator=(const Charge&) = delete;
+
+    bool await_ready() const noexcept { return false; }
+    bool await_suspend(std::coroutine_handle<> caller);
+    void await_resume() { node_->cpu_.release(); }
+
+   private:
+    /// Run the held delay; true when it ended inline.
+    bool hold();
+    static void on_granted(sim::Resource::Waiter& w);
+
+    Node* node_;
+    sim::Time t_;
+    std::coroutine_handle<> caller_{};
+  };
+
   /// Charge CPU time for handling `bytes` of I/O payload.
-  sim::Task<> cpu_work(std::uint64_t bytes);
+  Charge cpu_work(std::uint64_t bytes) {
+    return Charge(*this, cpu_time(bytes));
+  }
 
   /// Charge a raw computation time (checksum/XOR/compile work).
-  sim::Task<> compute(sim::Time t);
+  Charge compute(sim::Time t) { return Charge(*this, t); }
+
+  /// cpu_work(bytes) that nobody awaits (a one-way message's receive
+  /// cost).  It starts from its own zero-delay event, so it queues for the
+  /// CPU in the order it was posted, and from there makes the events an
+  /// awaited charge makes.
+  void post_cpu_work(std::uint64_t bytes);
 
   int id() const { return id_; }
   int num_disks() const { return static_cast<int>(disks_.size()); }
@@ -66,10 +104,29 @@ class Node {
   sim::Time cpu_busy() const { return cpu_.busy_time(); }
 
  private:
+  /// A posted charge that found the CPU busy, parked until granted.
+  /// Pooled: a machine abandoned by Simulation::shutdown() is freed with
+  /// the node and never touches the CPU again.
+  struct Posted : sim::Resource::Waiter {
+    Node* node;
+    sim::Time t;
+  };
+
+  sim::Time cpu_time(std::uint64_t bytes) const {
+    return params_.cpu_op_overhead +
+           static_cast<sim::Time>(params_.cpu_ns_per_byte *
+                                  static_cast<double>(bytes));
+  }
+  void start_posted(sim::Time t);
+  /// Hold the CPU (already taken) for `t` ns, then release it.
+  void hold_posted(sim::Time t);
+
   sim::Simulation& sim_;
   int id_;
   NodeParams params_;
   sim::Resource cpu_;
+  std::vector<std::unique_ptr<Posted>> posted_;
+  std::vector<Posted*> idle_posted_;
   std::unique_ptr<disk::ScsiBus> bus_;
   std::vector<std::unique_ptr<disk::Device>> disks_;
 };

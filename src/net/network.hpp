@@ -14,6 +14,7 @@
 // sustained point-to-point throughput equals the effective link rate.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -21,7 +22,6 @@
 #include "obs/obs.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/resource.hpp"
-#include "sim/task.hpp"
 
 namespace raidx::net {
 
@@ -40,6 +40,59 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
+  /// One message's trip as a callback state machine with no coroutine
+  /// frame: TX port (queue, per-message overhead plus serialization),
+  /// switch latency, the partition check at the switch, RX port.  Each
+  /// phase makes the events a coroutine awaiting Resource::acquire() and
+  /// Simulation::delay() would -- grant handoffs, delay round trips or
+  /// their fast path -- in the same order, and opens and closes the same
+  /// net.transmit / net.tx / net.rx spans.  The owner embeds it (the
+  /// transmit() awaiter, a broadcast fan-out) and keeps it in place until
+  /// it finishes; a Send abandoned by Simulation::shutdown() keeps its
+  /// port, as nothing runs afterwards.
+  class Send : sim::Resource::Waiter {
+   public:
+    /// Called once when a send that start() left pending finishes.
+    using Done = void (*)(Send&);
+
+    Send(Network& net, Done done);
+    Send(const Send&) = delete;
+    Send& operator=(const Send&) = delete;
+
+    /// Begin moving `bytes` from `from` to `to`.  Returns true when the
+    /// send has already finished (loopback, or every wait took the fast
+    /// path); `done` is then not called.  A finished Send may be started
+    /// again.
+    bool start(int from, int to, std::uint64_t bytes,
+               obs::TraceContext ctx = {});
+    /// Outcome of a finished send; see transmit().
+    bool delivered() const { return delivered_; }
+
+   private:
+    enum class Phase : std::uint8_t { kTxGranted, kTxDone, kAtSwitch,
+                                      kRxGranted, kRxDone };
+    /// Run phases until one must wait for an event; true when finished.
+    bool advance();
+    /// Wait `d` ns; false when an event will resume advance().
+    bool wait(sim::Time d);
+    /// Take `port` or park on it; false when parked.
+    bool take(sim::Resource& port);
+    /// Event entry point: advance, and report a finish to the owner.
+    void resume();
+
+    Network* net_;
+    Done done_;
+    int from_ = 0;
+    int to_ = 0;
+    std::uint64_t bytes_ = 0;
+    sim::Time wire_ = 0;
+    sim::Time grant_ = 0;
+    Phase phase_ = Phase::kTxGranted;
+    bool delivered_ = false;
+    obs::Span msg_;
+    obs::Span port_;
+  };
+
   /// Move `bytes` from node `from` to node `to`; completes when the last
   /// byte has drained from the receiver's port.  from == to is free (the
   /// loopback path never touches the wire).  Returns true when the message
@@ -48,8 +101,31 @@ class Network {
   /// transmits into a dead link), the message is dropped at the switch,
   /// and the caller must not deliver the payload.  With every node up the
   /// event sequence is bit-identical to the pre-fault-injection model.
-  sim::Task<bool> transmit(int from, int to, std::uint64_t bytes,
-                           obs::TraceContext ctx = {});
+  /// A frameless awaitable: its Send lives in the awaiting frame.
+  auto transmit(int from, int to, std::uint64_t bytes,
+                obs::TraceContext ctx = {}) {
+    struct Awaiter : Send {
+      Awaiter(Network& net, int from, int to, std::uint64_t bytes,
+              obs::TraceContext ctx)
+          : Send(net, &Awaiter::finished),
+            from(from), to(to), bytes(bytes), ctx(ctx) {}
+      bool await_ready() const noexcept { return false; }
+      bool await_suspend(std::coroutine_handle<> h) {
+        caller = h;
+        return !start(from, to, bytes, ctx);
+      }
+      bool await_resume() const noexcept { return delivered(); }
+      static void finished(Send& s) {
+        static_cast<Awaiter&>(s).caller.resume();
+      }
+      int from;
+      int to;
+      std::uint64_t bytes;
+      obs::TraceContext ctx;
+      std::coroutine_handle<> caller{};
+    };
+    return Awaiter(*this, from, to, bytes, ctx);
+  }
 
   /// Fault injection: mark a node's link up/down (down drops every message
   /// to or from it at the switch).  Nodes start up.

@@ -40,6 +40,25 @@ block::Payload gather(const block::Payload& data,
   return block::Payload(std::move(out));
 }
 
+// Why neither copy of RAID-x block `lba` could be used.  A timed-out RPC
+// means the peer was slow or unreachable, not that its disk lost the
+// block, so it is named as a timeout rather than as a lost disk.
+std::string raidx_copies_failed(std::uint64_t lba, bool is_write,
+                                bool data_timed_out, bool image_timed_out) {
+  const std::string block = std::to_string(lba);
+  if (!data_timed_out && !image_timed_out) {
+    return is_write ? "RAID-x: block " + block +
+                          " lost data disk and image disk"
+                    : "RAID-x: data and image of block " + block +
+                          " both unavailable";
+  }
+  const char* where = !image_timed_out ? "data disk (image copy unavailable)"
+                      : !data_timed_out ? "image disk (data copy unavailable)"
+                                        : "data and image disks";
+  return "RAID-x: block " + block + (is_write ? " write" : " read") +
+         " timed out on " + where;
+}
+
 }  // namespace
 
 ArrayController::ArrayController(cdd::CddFabric& fabric, EngineParams params)
@@ -1004,6 +1023,7 @@ sim::Task<> RaidxController::read_chunk(int client, std::uint64_t lba,
   const block::PhysBlock second = use_image ? data_pb : image_pb;
   cdd::Reply r = co_await fabric_.read(client, first.disk, first.offset, 1,
                                        disk::IoPriority::kForeground, ctx);
+  const bool first_timed_out = r.timed_out;
   if (!r.ok) {
     // Falling back to the image: an in-flight deferred flush is fresher
     // than the image disk.  (The data-copy fallback needs no such check;
@@ -1018,8 +1038,10 @@ sim::Task<> RaidxController::read_chunk(int client, std::uint64_t lba,
                               disk::IoPriority::kForeground, ctx);
   }
   if (!r.ok) {
-    throw IoError("RAID-x: data and image of block " + std::to_string(lba) +
-                  " both unavailable");
+    throw IoError(raidx_copies_failed(
+        lba, /*is_write=*/false,
+        use_image ? r.timed_out : first_timed_out,
+        use_image ? first_timed_out : r.timed_out));
   }
   r.data.copy_to(out);
 }
@@ -1122,7 +1144,8 @@ sim::Task<> RaidxController::write_chunk(int client, std::uint64_t lba,
   const bool full_stripe = (lba % width == 0 && nblocks == width);
 
   // Foreground: the data blocks, striped in parallel.
-  std::vector<char> ok(nblocks, 0);
+  enum : char { kFailed, kWritten, kTimedOut };
+  std::vector<char> ok(nblocks, kFailed);
   {
     sim::Joiner join(sim());
     auto write_one = [](RaidxController* self, int c, block::PhysBlock pb,
@@ -1132,7 +1155,7 @@ sim::Task<> RaidxController::write_chunk(int client, std::uint64_t lba,
       cdd::Reply r = co_await self->fabric_.write(c, pb.disk, pb.offset,
                                                   std::move(payload), prio,
                                                   ctx);
-      *ok_out = r.ok ? 1 : 0;
+      *ok_out = r.ok ? kWritten : r.timed_out ? kTimedOut : kFailed;
     };
     for (std::uint32_t i = 0; i < nblocks; ++i) {
       join.spawn(write_one(
@@ -1146,15 +1169,15 @@ sim::Task<> RaidxController::write_chunk(int client, std::uint64_t lba,
   // Any block whose data disk failed gets its image written in the
   // foreground -- the image is then the only durable copy.
   for (std::uint32_t i = 0; i < nblocks; ++i) {
-    if (!ok[i]) {
+    if (ok[i] != kWritten) {
       cdd::Reply r;
       const block::PhysBlock img = layout_.mirror_locations(lba + i)[0];
       r = co_await fabric_.write(
           client, img.disk, img.offset,
           data.slice(static_cast<std::size_t>(i) * bs, bs), prio, ctx);
       if (!r.ok) {
-        throw IoError("RAID-x: block " + std::to_string(lba + i) +
-                      " lost data disk and image disk");
+        throw IoError(raidx_copies_failed(lba + i, /*is_write=*/true,
+                                          ok[i] == kTimedOut, r.timed_out));
       }
     }
   }
@@ -1177,7 +1200,7 @@ sim::Task<> RaidxController::write_chunk(int client, std::uint64_t lba,
     }
   } else {
     for (std::uint32_t i = 0; i < nblocks; ++i) {
-      if (!ok[i]) continue;  // already written in the foreground
+      if (ok[i] != kWritten) continue;  // already written in the foreground
       auto flush = flush_block_image(
           client, lba + i,
           data.slice(static_cast<std::size_t>(i) * bs, bs), fctx);
@@ -1198,8 +1221,10 @@ sim::Task<block::Payload> RaidxController::degraded_read_block(
   cdd::Reply r = co_await fabric_.read(client, img.disk, img.offset, 1,
                                        disk::IoPriority::kForeground, ctx);
   if (!r.ok) {
-    throw IoError("RAID-x: data and image of block " + std::to_string(lba) +
-                  " both unavailable");
+    // The data copy's failure reached only the caller; the image's reply
+    // says whether this fallback timed out.
+    throw IoError(raidx_copies_failed(lba, /*is_write=*/false,
+                                      /*data_timed_out=*/false, r.timed_out));
   }
   co_return std::move(r.data);
 }

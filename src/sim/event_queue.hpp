@@ -144,6 +144,27 @@ class Simulation {
     return Awaiter{this, d};
   }
 
+  /// Callback form of delay(d), for frameless awaitables and callback
+  /// state machines.  Returns true when the delay is already over -- d <= 0,
+  /// or delay()'s fast path applied (same test, same clock advance, same
+  /// event count) -- and the caller continues inline.  Returns false when
+  /// the caller must schedule its own continuation `d` from now, the one
+  /// queue round trip delay() would have made.
+  bool delay_inline(Time d) noexcept {
+    if (d <= 0) return true;
+    // One fused test (all operands are cheap loads with no side effects)
+    // and a single counter bump: fast_resumes is derived in queue_stats().
+    const std::uint64_t n = events_processed_ + 1;
+    if (static_cast<int>((n & kReapMask) != 0) &
+        static_cast<int>(size_ == 0) &
+        static_cast<int>(unbounded_drain_)) [[likely]] {
+      events_processed_ = n;
+      now_ += d;
+      return true;
+    }
+    return false;
+  }
+
   /// Awaitable like delay(), but the wakeup is a *daemon* event: it fires
   /// in timestamp order while foreground work keeps the simulation going,
   /// yet never keeps run() alive by itself -- once only daemon events
@@ -388,16 +409,7 @@ class Simulation {
   /// frames get reaped on the same cadence as queued dispatch.
   std::coroutine_handle<> suspend_delay(Time d,
                                         std::coroutine_handle<> h) noexcept {
-    // One fused test (all operands are cheap loads with no side effects)
-    // and a single counter bump: fast_resumes is derived in queue_stats().
-    const std::uint64_t n = events_processed_ + 1;
-    if (static_cast<int>((n & kReapMask) != 0) &
-        static_cast<int>(size_ == 0) &
-        static_cast<int>(unbounded_drain_)) [[likely]] {
-      events_processed_ = n;
-      now_ += d;
-      return h;
-    }
+    if (delay_inline(d)) [[likely]] return h;
     schedule_resume(d, h);
     return std::noop_coroutine();
   }

@@ -40,13 +40,17 @@ void Resource::release() {
     for (auto& q : waiters_) {
       if (q.head != nullptr) {
         // Hand the slot straight to the waiter: in_use_ is unchanged.  The
-        // node lives in the waiter's frame, which stays suspended (and its
-        // memory valid) until the scheduled resume fires.
+        // node lives in the waiter's frame (or state machine), which stays
+        // suspended (and its memory valid) until the scheduled event fires.
         Waiter* w = q.head;
         q.head = w->next;
         if (q.head == nullptr) q.tail = nullptr;
         --q.count;
-        sim_.schedule_resume(0, w->handle);
+        if (w->granted != nullptr) {
+          sim_.schedule(0, [w] { w->granted(*w); });
+        } else {
+          sim_.schedule_resume(0, w->handle);
+        }
         return;
       }
     }

@@ -11,6 +11,12 @@
 // lives in the suspended coroutine's frame -- stable storage for exactly as
 // long as the wait lasts.  Parking and waking a waiter therefore never
 // touches the heap.
+//
+// A waiter is either a coroutine (resumed holding the slot) or a callback
+// (a frameless state machine that embeds the node and is called holding
+// the slot).  Both kinds share one FIFO per class and are handed the slot
+// by the same zero-delay event, so mixing them changes no grant order and
+// no grant instant.
 #pragma once
 
 #include <coroutine>
@@ -53,6 +59,15 @@ class Resource {
     Resource* resource_ = nullptr;
   };
 
+  /// Intrusive wait-list node; lives in the acquire() awaiter, or in the
+  /// callback state machine that parked it.  `granted` null means a
+  /// coroutine waiter (`handle` is resumed).
+  struct Waiter {
+    std::coroutine_handle<> handle{};
+    void (*granted)(Waiter&) = nullptr;
+    Waiter* next = nullptr;
+  };
+
   Resource(Simulation& sim, int capacity, int priority_levels = 1);
 
   /// Awaitable acquisition; resumes (or completes immediately) holding one
@@ -75,6 +90,12 @@ class Resource {
   /// Non-blocking attempt; returns true and takes a slot if available.
   bool try_acquire();
 
+  /// Park a callback waiter (`w.granted` set) behind every queued waiter of
+  /// its class; call only after try_acquire() failed.  release() later
+  /// calls `w.granted(w)` from a zero-delay event, holding the slot.  A
+  /// waiter still parked at Simulation::shutdown() is never called.
+  void enqueue(int priority, Waiter* w);
+
   /// Return one slot; hands it to the oldest highest-priority waiter.
   void release();
 
@@ -85,12 +106,6 @@ class Resource {
   /// Total slot-nanoseconds consumed (for utilization reporting).
   Time busy_time() const;
 
-  /// Intrusive wait-list node; lives in the acquire() awaiter.
-  struct Waiter {
-    std::coroutine_handle<> handle{};
-    Waiter* next = nullptr;
-  };
-
  private:
   struct WaitQueue {
     Waiter* head = nullptr;
@@ -98,7 +113,6 @@ class Resource {
     std::size_t count = 0;
   };
 
-  void enqueue(int priority, Waiter* w);
   void note_busy_change();
 
   Simulation& sim_;

@@ -348,5 +348,120 @@ TEST(DistributedLocks, GroupsGoOutAsOneRpcPerHomeInAscendingHomeOrder) {
   EXPECT_EQ(rig.fabric.service(3).requests_served(), 2u);
 }
 
+TEST(DistributedLocks, RecordOfRGroupsSyncsEachPeerOncePerGroup) {
+  // Groups {0, 6, 12, 18, 24} all live on node 0 of a 6-node cluster, and
+  // the client is node 0, so the lock RPC is local and every message on
+  // the wire is lock-state sync: R * (N - 1) of them for one grant.
+  constexpr int kNodes = 6;
+  constexpr unsigned kGroups = 5;
+  constexpr unsigned kPeers = kNodes - 1;
+  Rig rig(test::small_cluster(kNodes));
+  std::vector<std::uint64_t> record;
+  for (unsigned g = 0; g < kGroups; ++g) record.push_back(g * kNodes);
+  auto lock = [](CddFabric& f, std::vector<std::uint64_t> groups,
+                 bool release) -> sim::Task<> {
+    if (release) {
+      co_await f.unlock_groups(0, std::move(groups), 7);
+    } else {
+      co_await f.lock_groups(0, std::move(groups), 7);
+    }
+  };
+  const cluster::NodeParams& np = rig.cluster.params().node;
+  const sim::Time per_msg =
+      np.cpu_op_overhead +
+      static_cast<sim::Time>(np.cpu_ns_per_byte *
+                             static_cast<double>(kHeaderBytes));
+  auto& net = rig.cluster.network();
+  for (unsigned round = 1; round <= 2; ++round) {
+    rig.run(lock(rig.fabric, record, /*release=*/round == 2));
+    EXPECT_EQ(net.messages_sent(0), round * kGroups * kPeers);
+    EXPECT_EQ(net.bytes_sent(0), round * kGroups * kPeers * kHeaderBytes);
+    for (int n = 1; n < kNodes; ++n) {
+      EXPECT_EQ(rig.fabric.service(n).requests_served(), round * kGroups)
+          << "node " << n;
+      EXPECT_EQ(rig.cluster.node(n).cpu_busy(),
+                static_cast<sim::Time>(round * kGroups) * per_msg)
+          << "node " << n;
+    }
+    EXPECT_EQ(rig.fabric.service(0).broadcasts_in_flight(), 0u);
+  }
+  EXPECT_EQ(net.messages_dropped(), 0u);
+}
+
+TEST(DistributedLocks, SyncToAPartitionedPeerIsDroppedAfterItsTx) {
+  constexpr int kNodes = 5;
+  constexpr unsigned kGroups = 3;
+  constexpr int kCut = 2;
+  Rig rig(test::small_cluster(kNodes));
+  auto& net = rig.cluster.network();
+  net.set_node_up(kCut, false);
+  auto lock = [](CddFabric& f) -> sim::Task<> {
+    std::vector<std::uint64_t> groups = {0, 5, 10};  // all homed on node 0
+    co_await f.lock_groups(0, std::move(groups), 7);
+  };
+  rig.run(lock(rig.fabric));
+  // The home still transmits to every peer, the cut one included: its
+  // NIC pays TX for all of them, and the switch drops the cut peer's.
+  const auto params = net.params();
+  const sim::Time tx_each =
+      params.per_message_overhead +
+      sim::transfer_time(kHeaderBytes, params.effective_mbs());
+  EXPECT_EQ(net.messages_sent(0), kGroups * (kNodes - 1));
+  EXPECT_EQ(net.tx_busy(0),
+            static_cast<sim::Time>(kGroups * (kNodes - 1)) * tx_each);
+  EXPECT_EQ(net.messages_dropped(), kGroups);
+  EXPECT_EQ(net.rx_busy(kCut), 0);
+  EXPECT_EQ(rig.fabric.service(kCut).requests_served(), 0u);
+  EXPECT_EQ(rig.cluster.node(kCut).cpu_busy(), 0);
+  for (int n = 1; n < kNodes; ++n) {
+    if (n == kCut) continue;
+    EXPECT_EQ(rig.fabric.service(n).requests_served(), kGroups)
+        << "node " << n;
+  }
+}
+
+sim::Task<> await_reply(sim::Simulation& sim, sim::Oneshot<Reply>* slot,
+                        sim::Time* done) {
+  co_await slot->wait();
+  *done = sim.now();
+}
+
+TEST(CddService, PostsWhileADrainIsPendingAreServedInFifoOrder) {
+  // Probe A, a lock-state message, probe B: one drain serves all three in
+  // that order, so the node CPU runs A, the sync's receive charge, then B.
+  Rig rig(test::small_cluster());
+  CddService& svc = rig.fabric.service(1);
+  sim::Oneshot<Reply> slot_a(rig.sim);
+  sim::Oneshot<Reply> slot_b(rig.sim);
+  auto probe = [](sim::Oneshot<Reply>* slot) {
+    Request req;
+    req.op = Request::Op::kProbe;
+    req.from = 1;
+    req.reply = slot;
+    return req;
+  };
+  Request sync;
+  sync.op = Request::Op::kLockSync;
+  sync.from = 0;
+  svc.post(probe(&slot_a));
+  EXPECT_EQ(rig.sim.pending_events(), 1u);  // the drain
+  svc.post(std::move(sync));
+  svc.post(probe(&slot_b));
+  EXPECT_EQ(rig.sim.pending_events(), 1u);  // still that one drain
+  sim::Time done_a = -1;
+  sim::Time done_b = -1;
+  rig.sim.spawn(await_reply(rig.sim, &slot_a, &done_a));
+  rig.sim.spawn(await_reply(rig.sim, &slot_b, &done_b));
+  rig.sim.run();
+  const cluster::NodeParams& np = rig.cluster.params().node;
+  const sim::Time per_msg =
+      np.cpu_op_overhead +
+      static_cast<sim::Time>(np.cpu_ns_per_byte *
+                             static_cast<double>(kHeaderBytes));
+  EXPECT_EQ(done_a, per_msg);
+  EXPECT_EQ(done_b, 3 * per_msg);
+  EXPECT_EQ(svc.requests_served(), 3u);
+}
+
 }  // namespace
 }  // namespace raidx::cdd

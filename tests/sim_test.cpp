@@ -15,6 +15,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -230,39 +231,133 @@ TEST(Resource, BusyTimeTracksUtilization) {
   EXPECT_EQ(r.busy_time(), milliseconds(3));
 }
 
-Task<> producer(Simulation& sim, Channel<int>& ch, int count) {
-  for (int i = 0; i < count; ++i) {
-    co_await sim.delay(milliseconds(1));
-    ch.send(i);
+// One contender for a shared Resource: arrives at `arrive`, takes a slot at
+// class `prio`, holds it for `hold`.
+struct Contender {
+  Time arrive;
+  int prio;
+  Time hold;
+};
+using GrantLog = std::vector<std::tuple<int, char, Time>>;  // id, g/r, when
+
+Task<> coroutine_contender(Simulation& sim, Resource& r, int id, Contender c,
+                           GrantLog* log) {
+  co_await sim.delay(c.arrive);
+  auto guard = co_await r.acquire(c.prio);
+  log->emplace_back(id, 'g', sim.now());
+  co_await sim.delay(c.hold);
+  log->emplace_back(id, 'r', sim.now());
+}
+
+// The same contender as a frameless state machine: a callback waiter that
+// holds through Simulation::delay_inline, as the frameless awaitables do.
+struct CallbackContender : Resource::Waiter {
+  Simulation* sim;
+  Resource* r;
+  int id;
+  Contender c;
+  GrantLog* log;
+
+  void start() {
+    if (r->try_acquire()) {
+      hold();
+      return;
+    }
+    granted = [](Resource::Waiter& w) {
+      static_cast<CallbackContender&>(w).hold();
+    };
+    r->enqueue(c.prio, this);
   }
-}
-
-Task<> consumer(Channel<int>& ch, int count, std::vector<int>* got) {
-  for (int i = 0; i < count; ++i) {
-    got->push_back(co_await ch.recv());
+  void hold() {
+    log->emplace_back(id, 'g', sim->now());
+    if (sim->delay_inline(c.hold)) {
+      finish();
+    } else {
+      sim->schedule(c.hold, [this] { finish(); });
+    }
   }
+  void finish() {
+    log->emplace_back(id, 'r', sim->now());
+    r->release();
+  }
+};
+
+Task<> start_callback_contender(Simulation& sim, CallbackContender* m) {
+  co_await sim.delay(m->c.arrive);
+  m->start();
 }
 
-TEST(Channel, DeliversInOrder) {
-  Simulation sim;
-  Channel<int> ch(sim);
-  std::vector<int> got;
-  sim.spawn(consumer(ch, 5, &got));
-  sim.spawn(producer(sim, ch, 5));
-  sim.run();
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
+TEST(Resource, CallbackWaitersKeepCoroutineOrderAndInstants) {
+  // Two classes, simultaneous arrivals, a queue several deep, and a late
+  // arrival that finds the resource idle.
+  const std::vector<Contender> contenders = {
+      {0, 1, 4}, {0, 0, 3}, {1, 1, 2}, {1, 0, 2}, {1, 1, 1},
+      {2, 0, 5}, {6, 1, 1}, {6, 0, 2}, {40, 1, 3}, {40, 0, 1}};
+  auto run = [&](bool mixed, std::uint64_t* events) {
+    Simulation sim;
+    Resource r(sim, 1, 2);
+    GrantLog log;
+    std::vector<std::unique_ptr<CallbackContender>> machines;
+    for (int id = 0; id < static_cast<int>(contenders.size()); ++id) {
+      const Contender& c = contenders[static_cast<std::size_t>(id)];
+      if (mixed && id % 2 == 1) {
+        machines.push_back(std::make_unique<CallbackContender>());
+        CallbackContender& m = *machines.back();
+        m.sim = &sim;
+        m.r = &r;
+        m.id = id;
+        m.c = c;
+        m.log = &log;
+        sim.spawn(start_callback_contender(sim, &m));
+      } else {
+        sim.spawn(coroutine_contender(sim, r, id, c, &log));
+      }
+    }
+    sim.run();
+    EXPECT_EQ(r.in_use(), 0);
+    *events = sim.events_processed();
+    return log;
+  };
+  std::uint64_t reference_events = 0;
+  std::uint64_t mixed_events = 0;
+  const GrantLog reference = run(false, &reference_events);
+  const GrantLog mixed = run(true, &mixed_events);
+  ASSERT_EQ(reference.size(), 2 * contenders.size());
+  EXPECT_EQ(mixed, reference);
+  EXPECT_EQ(mixed_events, reference_events);
+  // Class 0 overtakes the queued class-1 contenders at the first release.
+  EXPECT_EQ(reference[1], std::make_tuple(0, 'r', Time{4}));
+  EXPECT_EQ(reference[2], std::make_tuple(1, 'g', Time{4}));
 }
 
-TEST(Channel, BuffersWhenNoReceiver) {
+Task<> hold_for(Simulation& sim, Resource& r, Time t) {
+  auto guard = co_await r.acquire();
+  co_await sim.delay(t);
+}
+
+TEST(Resource, ParkedCallbackWaiterNeverFiresAfterShutdown) {
   Simulation sim;
-  Channel<int> ch(sim);
-  ch.send(1);
-  ch.send(2);
-  EXPECT_EQ(ch.pending(), 2u);
-  std::vector<int> got;
-  sim.spawn(consumer(ch, 2, &got));
-  sim.run();
-  EXPECT_EQ(got, (std::vector<int>{1, 2}));
+  Resource r(sim, 1);
+  sim.spawn(hold_for(sim, r, milliseconds(1)));
+  ASSERT_FALSE(sim.run_until(10));
+  struct Probe : Resource::Waiter {
+    std::vector<int> payload = std::vector<int>(64, 7);  // LSan witness
+    bool fired = false;
+  };
+  auto probe = std::make_unique<Probe>();
+  probe->granted = [](Resource::Waiter& w) {
+    static_cast<Probe&>(w).fired = true;
+  };
+  ASSERT_FALSE(r.try_acquire());
+  r.enqueue(0, probe.get());
+  EXPECT_EQ(r.queued(), 1u);
+  // The holder's frame dies here and releases into a dying world: the
+  // slot goes back to the pool instead of to the parked callback.
+  sim.shutdown();
+  EXPECT_FALSE(probe->fired);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_TRUE(sim.run_until(milliseconds(5)));
+  EXPECT_FALSE(probe->fired);
 }
 
 Task<> oneshot_waiter(Oneshot<int>& os, int* got) { *got = co_await os.wait(); }
