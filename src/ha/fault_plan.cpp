@@ -9,6 +9,7 @@
 #include "ha/ha.hpp"
 #include "integrity/integrity.hpp"
 #include "obs/obs.hpp"
+#include "sim/kv.hpp"
 #include "sim/random.hpp"
 
 namespace raidx::ha {
@@ -40,24 +41,19 @@ sim::Time parse_time(const std::string& s, const std::string& clause) {
   bad_clause(clause, "unknown time unit '" + unit + "' (use s|ms|us|ns)");
 }
 
-/// Split "a=1,b=2s" into key/value pairs.
+/// Split "a=1,b=2s" into key/value pairs.  Every item is checked before
+/// any key is interpreted, so a malformed item is cited first.
 std::vector<std::pair<std::string, std::string>> parse_kv(
     const std::string& body, const std::string& clause) {
   std::vector<std::pair<std::string, std::string>> out;
-  std::size_t start = 0;
-  while (start <= body.size()) {
-    std::size_t end = body.find(',', start);
-    if (end == std::string::npos) end = body.size();
-    const std::string item = body.substr(start, end - start);
-    if (!item.empty()) {
-      const std::size_t eq = item.find('=');
-      if (eq == std::string::npos) {
+  sim::for_each_kv(
+      body,
+      [&](std::string key, std::string value) {
+        out.emplace_back(std::move(key), std::move(value));
+      },
+      [&](const std::string& item) {
         bad_clause(clause, "expected key=value in '" + item + "'");
-      }
-      out.emplace_back(item.substr(0, eq), item.substr(eq + 1));
-    }
-    start = end + 1;
-  }
+      });
   return out;
 }
 

@@ -448,11 +448,15 @@ ShardedLoadResult run_open_loop_sharded(cluster::ShardedCluster& world,
 
   world.run(threads);
 
+  std::vector<OpenLoopResult> per_shard;
+  per_shard.reserve(static_cast<std::size_t>(S));
+  for (auto& d : drivers) per_shard.push_back(d->finish());
+  return accumulate_groups(std::move(per_shard));
+}
+
+ShardedLoadResult accumulate_groups(std::vector<OpenLoopResult> per_group) {
   ShardedLoadResult out;
-  out.per_shard.reserve(static_cast<std::size_t>(S));
-  for (int s = 0; s < S; ++s) {
-    out.per_shard.push_back(drivers[static_cast<std::size_t>(s)]->finish());
-    const OpenLoopResult& r = out.per_shard.back();
+  for (const OpenLoopResult& r : per_group) {
     out.offered += r.offered;
     out.completed += r.completed;
     out.rejected += r.rejected;
@@ -467,6 +471,7 @@ ShardedLoadResult run_open_loop_sharded(cluster::ShardedCluster& world,
     out.goodput_mbs += r.goodput_mbs;
     out.latency.merge(r.latency);
   }
+  out.per_shard = std::move(per_group);
   return out;
 }
 

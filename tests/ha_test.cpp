@@ -499,6 +499,19 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   bad("rand:seed=1,bogus=2");  // unknown rand key
 }
 
+TEST(FaultPlan, CitesAMalformedItemBeforeAnyUnknownKey) {
+  // Every item of a clause body is checked before any key is read, so
+  // the malformed item is cited even when an unknown key precedes it.
+  try {
+    ha::FaultPlan::parse("rand:bogus=1,,x", 4);
+    FAIL() << "malformed clause accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "bad fault clause 'rand:bogus=1,,x': expected key=value in "
+                 "'x'");
+  }
+}
+
 TEST(FaultPlan, RandomPlansAreSeedDeterministicAndBounded) {
   const sim::Time window = sim::seconds(10);
   const ha::FaultPlan a =

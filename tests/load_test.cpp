@@ -412,5 +412,57 @@ TEST(OpenLoop, AdmissionHookAtTheControllerEntry) {
   EXPECT_EQ(total_reads, 1u);
 }
 
+// ---------------------------------------------------------------------------
+// accumulate_groups: federation totals.
+
+TEST(AccumulateGroups, SumsCountsAndRatesAndKeepsTheSlowestDrain) {
+  load::OpenLoopResult a;
+  a.offered = 10;
+  a.completed = 9;
+  a.failed = 1;
+  a.remote_ops = 2;
+  a.peak_in_flight = 3;
+  a.bytes_completed = 100;
+  a.offered_mbs = 1.5;
+  a.goodput_mbs = 1.25;
+  a.drained_at = 80;
+  a.latency.observe(1000);
+  load::OpenLoopResult b;
+  b.offered = 5;
+  b.completed = 4;
+  b.shed = 1;
+  b.cap_dropped = 2;
+  b.peak_in_flight = 4;
+  b.bytes_completed = 50;
+  b.offered_mbs = 0.5;
+  b.goodput_mbs = 0.25;
+  b.drained_at = 50;
+  b.latency.observe(2000);
+  b.latency.observe(3000);
+
+  const load::ShardedLoadResult r = load::accumulate_groups({a, b});
+  EXPECT_EQ(r.offered, 15u);
+  EXPECT_EQ(r.completed, 13u);
+  EXPECT_EQ(r.failed, 1u);
+  EXPECT_EQ(r.shed, 1u);
+  EXPECT_EQ(r.cap_dropped, 2u);
+  EXPECT_EQ(r.remote_ops, 2u);
+  EXPECT_EQ(r.peak_in_flight, 7u);
+  EXPECT_EQ(r.bytes_completed, 150u);
+  EXPECT_DOUBLE_EQ(r.offered_mbs, 2.0);
+  EXPECT_DOUBLE_EQ(r.goodput_mbs, 1.5);
+  EXPECT_EQ(r.drained_at, 80);
+  EXPECT_EQ(r.latency.count(), 3u);
+  EXPECT_EQ(r.latency.max(), 3000u);
+  ASSERT_EQ(r.per_shard.size(), 2u);
+  EXPECT_EQ(r.per_shard[1].offered, 5u);
+
+  // One group is its own total.
+  const load::ShardedLoadResult one = load::accumulate_groups({b});
+  EXPECT_EQ(one.offered, b.offered);
+  EXPECT_EQ(one.drained_at, b.drained_at);
+  EXPECT_DOUBLE_EQ(one.latency.quantile(0.99), b.latency.quantile(0.99));
+}
+
 }  // namespace
 }  // namespace raidx

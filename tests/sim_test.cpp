@@ -50,6 +50,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 #include "sim/channel.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/join.hpp"
+#include "sim/kv.hpp"
 #include "sim/random.hpp"
 #include "sim/resource.hpp"
 #include "sim/stats.hpp"
@@ -59,6 +60,17 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace raidx::sim {
 namespace {
+
+TEST(ForEachKv, SplitsInOrderSkipsEmptyItemsAndHandsBackItemsWithoutEquals) {
+  std::vector<std::string> seen;
+  sim::for_each_kv(
+      ",a=1,,b=,c,d=x=y,",
+      [&](const std::string& k, const std::string& v) {
+        seen.push_back(k + ":" + v);
+      },
+      [&](const std::string& item) { seen.push_back("bad " + item); });
+  EXPECT_EQ(seen, (std::vector<std::string>{"a:1", "b:", "bad c", "d:x=y"}));
+}
 
 TEST(Time, Conversions) {
   EXPECT_EQ(seconds(1.0), 1'000'000'000);

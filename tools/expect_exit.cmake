@@ -1,10 +1,11 @@
 # Runs a command and passes only if it exits with status EXPECT_STATUS
-# exactly and, when EXPECT_OUTPUT is given, its stdout matches that regex.
-# A signal is a failure: WILL_FAIL would count a crash as the expected
-# nonzero exit, and PASS_REGULAR_EXPRESSION ignores the exit status.
+# exactly and, when given, its stdout matches EXPECT_OUTPUT and its stderr
+# matches EXPECT_ERROR (both regexes).  A signal is a failure: WILL_FAIL
+# would count a crash as the expected nonzero exit, and
+# PASS_REGULAR_EXPRESSION ignores the exit status.
 #
-#   cmake -DEXPECT_STATUS=1 [-DEXPECT_OUTPUT=<regex>] -P expect_exit.cmake
-#         -- <command> [args...]
+#   cmake -DEXPECT_STATUS=2 [-DEXPECT_OUTPUT=<regex>] [-DEXPECT_ERROR=<regex>]
+#         -P expect_exit.cmake -- <command> [args...]
 if(NOT DEFINED EXPECT_STATUS)
   message(FATAL_ERROR "expect_exit.cmake: EXPECT_STATUS is not set")
 endif()
@@ -37,4 +38,7 @@ if(NOT status STREQUAL EXPECT_STATUS)
 endif()
 if(DEFINED EXPECT_OUTPUT AND NOT out MATCHES "${EXPECT_OUTPUT}")
   message(FATAL_ERROR "output does not match '${EXPECT_OUTPUT}'")
+endif()
+if(DEFINED EXPECT_ERROR AND NOT err MATCHES "${EXPECT_ERROR}")
+  message(FATAL_ERROR "stderr does not match '${EXPECT_ERROR}'")
 endif()

@@ -10,14 +10,25 @@
 //
 // Prints aggregate and sustained bandwidth, per-op latency percentiles,
 // and per-resource utilization.
+//
+// One pipeline: parse_args() reads argv into a RunSpec, validate() checks
+// it in one pass (bad input exits 2 citing the flag or clause), then one
+// of three topologies -- a single site, a sharded cluster (--shards) or a
+// WAN federation (--sites) -- is built from the same per-array parameters,
+// run, and reported through shared helpers.
 #include <algorithm>
+#include <charconv>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <limits>
+#include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
-
-#include <fstream>
 
 #include "cache/cache_fabric.hpp"
 #include "cluster/cluster.hpp"
@@ -30,6 +41,7 @@
 #include "nfs/nfs.hpp"
 #include "obs/collect.hpp"
 #include "obs/obs.hpp"
+#include "sim/kv.hpp"
 #include "sim/stats.hpp"
 #include "wan/federation.hpp"
 #include "workload/andrew.hpp"
@@ -40,6 +52,8 @@
 using namespace raidx;
 
 namespace {
+
+const char* g_argv0 = "raidxsim";
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(
@@ -72,10 +86,11 @@ namespace {
       "  --disks K          disks per node (default 1)\n"
       "  --clients C        parallel clients (default 8)\n"
       "  --op read|write    operation (default read)\n"
-      "  --bytes SZ         bytes per op, accepts K/M suffix (default 64M)\n"
+      "  --bytes SZ         bytes per op, K/M/G suffix ok, 1 to 1024G (default "
+      "64M)\n"
       "  --ops N            ops per client (default 1)\n"
       "  --scattered        scatter ops over the client region\n"
-      "  --block SZ         stripe unit (default 32K)\n"
+      "  --block SZ         stripe unit, 512 to 1G (default 32K)\n"
       "  --fail D           fail disk D before the run (repeatable)\n"
       "  --disk-type T      hdd|ssd|hybrid device mix (default hdd).\n"
       "                     ssd and hybrid accept ':key=val,...' tuning:\n"
@@ -178,30 +193,108 @@ namespace {
       "table\n"
       "                     after the run.  key=value pairs:\n"
       "                       interval=250ms samples=240 out=FILE (JSON)\n"
+      "                     (samples: 2 to 100000)\n"
       "  --metrics FILE     write the metrics-registry snapshot as JSON\n"
       "                     (with --slo the file becomes "
       "{\"metrics\":...,\"events\":[...]})\n"
       "  --verbose          per-client and per-resource detail\n"
-      "Flags also accept --flag=value form.\n",
+      "Flags also accept --flag=value form.  Numbers must parse whole (no\n"
+      "trailing characters) and lie in the flag's range.\n"
+      "Exit status: 0 when every op completed, 1 when the run failed, 2 on\n"
+      "bad input (the message cites the flag or clause).\n",
       argv0);
   std::exit(2);
 }
 
-std::uint64_t parse_size(const std::string& s) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  std::uint64_t mult = 1;
-  if (end && *end) {
-    switch (*end) {
-      case 'k': case 'K': mult = 1024; break;
-      case 'm': case 'M': mult = 1024 * 1024; break;
-      case 'g': case 'G': mult = 1024ull * 1024 * 1024; break;
-      default:
-        std::fprintf(stderr, "bad size suffix: %s\n", s.c_str());
-        std::exit(2);
-    }
+/// Bad input: "<argv0>: <message>" on stderr and exit status 2.
+[[noreturn]] __attribute__((format(printf, 1, 2))) void reject(
+    const char* fmt, ...) {
+  std::fprintf(stderr, "%s: ", g_argv0);
+  va_list ap;
+  va_start(ap, fmt);
+  std::vfprintf(stderr, fmt, ap);
+  va_end(ap);
+  std::exit(2);
+}
+
+// printf's %llu needs unsigned long long; std::uint64_t may be unsigned long.
+unsigned long long ull(std::uint64_t v) { return v; }
+
+/// Renders [lo, hi] for a range diagnostic; when only one bound is set,
+/// the other (the type's limit) is dropped: ">= lo" or "<= hi".
+template <typename T>
+std::string range_text(T lo, T hi) {
+  const bool open_lo = lo == std::numeric_limits<T>::lowest();
+  const bool open_hi = hi == std::numeric_limits<T>::max();
+  std::ostringstream out;
+  if (open_hi && !open_lo) out << ">= " << +lo;
+  else if (open_lo && !open_hi) out << "<= " << +hi;
+  else out << "in [" << +lo << ", " << +hi << "]";
+  return out.str();
+}
+
+/// The one number parser behind every flag and clause value: the whole
+/// string must parse as a T and land in [lo, hi]; anything else cites
+/// `what` (the flag, or flag and key) and exits 2.
+template <typename T>
+T parse_number(const std::string& what, const std::string& text,
+               T lo = std::numeric_limits<T>::lowest(),
+               T hi = std::numeric_limits<T>::max()) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (ec == std::errc::invalid_argument || stop != end) {
+    reject("%s '%s' is not a number\n", what.c_str(), text.c_str());
   }
-  return static_cast<std::uint64_t>(v * static_cast<double>(mult));
+  if (ec != std::errc() || !(v >= lo && v <= hi)) {
+    reject("%s '%s' needs a number %s\n", what.c_str(), text.c_str(),
+           range_text(lo, hi).c_str());
+  }
+  return v;
+}
+
+template <typename T>
+void set_number(T& field, const std::string& what, const std::string& text) {
+  field = parse_number<T>(what, text);
+}
+
+/// Per-op sizes and WAN windows past 1 TiB describe no real array.
+constexpr std::uint64_t kMaxBytes = std::uint64_t{1} << 40;
+
+/// A byte count: a number with an optional K/M/G suffix, in [lo, hi].
+std::uint64_t parse_size(const std::string& what, const std::string& text,
+                         std::uint64_t lo, std::uint64_t hi) {
+  double v = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (stop == text.data()) {
+    reject("%s '%s' is not a number\n", what.c_str(), text.c_str());
+  }
+  const std::string suffix(stop, end);
+  double mult = 1;
+  if (suffix == "k" || suffix == "K") mult = 1024.0;
+  else if (suffix == "m" || suffix == "M") mult = 1024.0 * 1024;
+  else if (suffix == "g" || suffix == "G") mult = 1024.0 * 1024 * 1024;
+  else if (!suffix.empty()) {
+    std::fprintf(stderr, "bad size suffix: %s\n", text.c_str());
+    std::exit(2);
+  }
+  const double bytes = v * mult;
+  if (ec != std::errc() || !(bytes >= static_cast<double>(lo) &&
+                             bytes <= static_cast<double>(hi))) {
+    reject("%s '%s' needs a number %s\n", what.c_str(), text.c_str(),
+           range_text(lo, hi).c_str());
+  }
+  return static_cast<std::uint64_t>(bytes);
+}
+
+/// Comma-separated key=value clauses (the sim::for_each_kv grammar); a
+/// malformed clause cites itself verbatim and exits 2.
+template <typename Fn>
+void for_each_clause(const char* flag, const std::string& spec, Fn&& fn) {
+  sim::for_each_kv(spec, fn, [flag](const std::string& item) {
+    reject("%s clause '%s' is not key=value\n", flag, item.c_str());
+  });
 }
 
 /// Parsed --open-loop spec: every tenant gets the same shape; the QoS keys
@@ -214,89 +307,52 @@ struct OpenLoopCli {
   double qos_mbs = 0.0;
   double qos_burst_mb = 1.0;
   load::AdmitPolicy policy = load::AdmitPolicy::kShed;
-  double remote = 0.0;  // cross-shard fraction (needs --shards > 1)
+  double remote = 0.0;  // cross-shard/site fraction
 };
 
-OpenLoopCli parse_open_loop_spec(const char* argv0, const std::string& spec) {
+OpenLoopCli parse_open_loop_spec(const std::string& spec) {
   OpenLoopCli cli;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string kv = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (kv.empty()) continue;
-    const std::size_t eq = kv.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "%s: --open-loop clause '%s' is not key=value\n",
-                   argv0, kv.c_str());
-      std::exit(2);
-    }
-    const std::string key = kv.substr(0, eq);
-    const std::string val = kv.substr(eq + 1);
-    if (key == "rate") cli.shape.rate_ops = std::atof(val.c_str());
+  load::TenantLoad& sh = cli.shape;
+  for_each_clause("--open-loop", spec,
+                  [&](const std::string& key, const std::string& val) {
+    const std::string what = "--open-loop " + key;
+    if (key == "rate") set_number(sh.rate_ops, what, val);
     else if (key == "dist") {
-      if (val == "poisson") cli.shape.dist = load::ArrivalDist::kPoisson;
-      else if (val == "burst") cli.shape.dist = load::ArrivalDist::kBurst;
-      else {
-        std::fprintf(stderr, "%s: --open-loop dist=%s (poisson|burst)\n",
-                     argv0, val.c_str());
-        std::exit(2);
-      }
+      if (val == "poisson") sh.dist = load::ArrivalDist::kPoisson;
+      else if (val == "burst") sh.dist = load::ArrivalDist::kBurst;
+      else reject("--open-loop dist=%s (poisson|burst)\n", val.c_str());
     }
-    else if (key == "zipf") cli.shape.zipf_alpha = std::atof(val.c_str());
-    else if (key == "tenants") cli.tenants = std::atoi(val.c_str());
-    else if (key == "sessions") cli.shape.sessions = std::atoi(val.c_str());
-    else if (key == "duration") cli.duration_s = std::atof(val.c_str());
-    else if (key == "write") cli.shape.write_fraction = std::atof(val.c_str());
-    else if (key == "req-blocks") {
-      cli.shape.blocks_per_op =
-          static_cast<std::uint32_t>(std::atoi(val.c_str()));
-    }
-    else if (key == "ws") {
-      cli.shape.working_set_blocks =
-          static_cast<std::uint64_t>(std::atoll(val.c_str()));
-    }
-    else if (key == "qos-mbs") cli.qos_mbs = std::atof(val.c_str());
-    else if (key == "qos-burst") cli.qos_burst_mb = std::atof(val.c_str());
+    else if (key == "zipf") set_number(sh.zipf_alpha, what, val);
+    else if (key == "tenants") set_number(cli.tenants, what, val);
+    else if (key == "sessions") set_number(sh.sessions, what, val);
+    else if (key == "duration") set_number(cli.duration_s, what, val);
+    else if (key == "write") set_number(sh.write_fraction, what, val);
+    else if (key == "req-blocks") set_number(sh.blocks_per_op, what, val);
+    else if (key == "ws") set_number(sh.working_set_blocks, what, val);
+    else if (key == "qos-mbs") set_number(cli.qos_mbs, what, val);
+    else if (key == "qos-burst") set_number(cli.qos_burst_mb, what, val);
     else if (key == "qos-policy") {
       if (val == "reject") cli.policy = load::AdmitPolicy::kReject;
       else if (val == "queue") cli.policy = load::AdmitPolicy::kQueue;
       else if (val == "shed") cli.policy = load::AdmitPolicy::kShed;
-      else {
-        std::fprintf(stderr,
-                     "%s: --open-loop qos-policy=%s (reject|queue|shed)\n",
-                     argv0, val.c_str());
-        std::exit(2);
-      }
+      else reject("--open-loop qos-policy=%s (reject|queue|shed)\n",
+                  val.c_str());
     }
-    else if (key == "burst-on") cli.shape.burst_on_s = std::atof(val.c_str());
-    else if (key == "burst-off") cli.shape.burst_off_s = std::atof(val.c_str());
-    else if (key == "burst-mult") cli.shape.burst_mult = std::atof(val.c_str());
-    else if (key == "cap") {
-      cli.cap = static_cast<std::size_t>(std::atoll(val.c_str()));
-    }
-    else if (key == "remote") cli.remote = std::atof(val.c_str());
-    else {
-      std::fprintf(stderr, "%s: --open-loop has no key '%s'\n", argv0,
-                   key.c_str());
-      std::exit(2);
-    }
-  }
-  if (cli.tenants < 1 || cli.shape.rate_ops <= 0.0 ||
-      cli.shape.sessions < 1 || cli.duration_s <= 0.0 ||
-      cli.shape.blocks_per_op < 1 || cli.shape.zipf_alpha < 0.0 ||
-      cli.shape.write_fraction < 0.0 || cli.shape.write_fraction > 1.0) {
-    std::fprintf(stderr,
-                 "%s: --open-loop needs tenants/rate/sessions/duration/"
-                 "req-blocks > 0, zipf >= 0, write in [0,1]\n",
-                 argv0);
-    std::exit(2);
+    else if (key == "burst-on") set_number(sh.burst_on_s, what, val);
+    else if (key == "burst-off") set_number(sh.burst_off_s, what, val);
+    else if (key == "burst-mult") set_number(sh.burst_mult, what, val);
+    else if (key == "cap") set_number(cli.cap, what, val);
+    else if (key == "remote") set_number(cli.remote, what, val);
+    else reject("--open-loop has no key '%s'\n", key.c_str());
+  });
+  if (cli.tenants < 1 || sh.rate_ops <= 0.0 || sh.sessions < 1 ||
+      cli.duration_s <= 0.0 || sh.blocks_per_op < 1 || sh.zipf_alpha < 0.0 ||
+      sh.write_fraction < 0.0 || sh.write_fraction > 1.0) {
+    reject("--open-loop needs tenants/rate/sessions/duration/req-blocks > 0, "
+           "zipf >= 0, write in [0,1]\n");
   }
   if (cli.remote < 0.0 || cli.remote > 1.0) {
-    std::fprintf(stderr, "%s: --open-loop remote=F needs F in [0,1]\n",
-                 argv0);
-    std::exit(2);
+    reject("--open-loop remote=F needs F in [0,1]\n");
   }
   return cli;
 }
@@ -310,97 +366,42 @@ struct DiskTypeCli {
 };
 
 /// "hdd", "ssd", "hybrid", optionally ':key=val,...' (ssd/hybrid only).
-/// A malformed clause cites itself verbatim and exits 2, same convention
-/// as --faults and --open-loop.
-DiskTypeCli parse_disk_type_spec(const char* argv0, const std::string& spec) {
+DiskTypeCli parse_disk_type_spec(const std::string& spec) {
   DiskTypeCli cli;
   const std::size_t colon = spec.find(':');
   const std::string kind = spec.substr(0, colon);
   if (kind == "hdd") cli.kind = DiskTypeCli::Kind::kHdd;
   else if (kind == "ssd") cli.kind = DiskTypeCli::Kind::kSsd;
   else if (kind == "hybrid") cli.kind = DiskTypeCli::Kind::kHybrid;
-  else {
-    std::fprintf(stderr, "%s: --disk-type %s (hdd|ssd|hybrid)\n", argv0,
-                 kind.c_str());
-    std::exit(2);
-  }
+  else reject("--disk-type %s (hdd|ssd|hybrid)\n", kind.c_str());
   if (colon == std::string::npos) return cli;
-  if (cli.kind == DiskTypeCli::Kind::kHdd) {
-    std::fprintf(stderr,
-                 "%s: --disk-type hdd takes no tuning spec ('%s' tunes the "
-                 "flash model; use ssd:... or hybrid:...)\n",
-                 argv0, spec.substr(colon + 1).c_str());
-    std::exit(2);
-  }
   const std::string tail = spec.substr(colon + 1);
-  std::size_t pos = 0;
-  while (pos < tail.size()) {
-    std::size_t comma = tail.find(',', pos);
-    if (comma == std::string::npos) comma = tail.size();
-    const std::string kv = tail.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (kv.empty()) continue;
-    const std::size_t eq = kv.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "%s: --disk-type clause '%s' is not key=value\n",
-                   argv0, kv.c_str());
-      std::exit(2);
-    }
-    const std::string key = kv.substr(0, eq);
-    const std::string val = kv.substr(eq + 1);
+  if (cli.kind == DiskTypeCli::Kind::kHdd) {
+    reject("--disk-type hdd takes no tuning spec ('%s' tunes the flash "
+           "model; use ssd:... or hybrid:...)\n", tail.c_str());
+  }
+  for_each_clause("--disk-type", tail,
+                  [&](const std::string& key, const std::string& val) {
     if (key == "op") {
-      cli.flash.over_provision = std::atof(val.c_str());
-      if (cli.flash.over_provision < 0.0 ||
-          cli.flash.over_provision >= 1.0) {
-        std::fprintf(stderr,
-                     "%s: --disk-type op=%s needs a fraction in [0,1)\n",
-                     argv0, val.c_str());
-        std::exit(2);
+      set_number(cli.flash.over_provision, "--disk-type op", val);
+      if (cli.flash.over_provision < 0.0 || cli.flash.over_provision >= 1.0) {
+        reject("--disk-type op=%s needs a fraction in [0,1)\n", val.c_str());
       }
     } else if (key == "gc") {
       if (val == "greedy") cli.flash.gc_policy = flash::GcPolicy::kGreedy;
       else if (val == "costben") {
         cli.flash.gc_policy = flash::GcPolicy::kCostBenefit;
-      } else {
-        std::fprintf(stderr, "%s: --disk-type gc=%s (greedy|costben)\n",
-                     argv0, val.c_str());
-        std::exit(2);
       }
+      else reject("--disk-type gc=%s (greedy|costben)\n", val.c_str());
     } else {
-      std::fprintf(stderr, "%s: --disk-type has no key '%s'\n", argv0,
-                   key.c_str());
-      std::exit(2);
+      reject("--disk-type has no key '%s'\n", key.c_str());
     }
-  }
+  });
   return cli;
 }
 
-/// Shared clause scanner for the telemetry specs (--slo, --watch,
-/// --trace-sample): comma-separated key=value pairs, same grammar as
-/// --open-loop.  A malformed clause cites itself verbatim and exits 2.
-template <typename Fn>
-void for_each_clause(const char* argv0, const char* flag,
-                     const std::string& spec, Fn&& fn) {
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string kv = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (kv.empty()) continue;
-    const std::size_t eq = kv.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "%s: %s clause '%s' is not key=value\n", argv0,
-                   flag, kv.c_str());
-      std::exit(2);
-    }
-    fn(kv.substr(0, eq), kv.substr(eq + 1));
-  }
-}
-
 /// "250ms", "0.5s", "800us", or a bare number (milliseconds).
-sim::Time parse_duration(const char* argv0, const char* flag,
-                         const std::string& val) {
+sim::Time parse_duration(const char* flag, const std::string& val) {
   char* end = nullptr;
   const double v = std::strtod(val.c_str(), &end);
   double ms = v;
@@ -408,40 +409,31 @@ sim::Time parse_duration(const char* argv0, const char* flag,
     if (std::strcmp(end, "ms") == 0) ms = v;
     else if (std::strcmp(end, "s") == 0) ms = v * 1e3;
     else if (std::strcmp(end, "us") == 0) ms = v / 1e3;
-    else {
-      std::fprintf(stderr, "%s: %s duration '%s' (use us/ms/s)\n", argv0,
-                   flag, val.c_str());
-      std::exit(2);
-    }
+    else reject("%s duration '%s' (use us/ms/s)\n", flag, val.c_str());
   }
-  if (ms <= 0.0) {
-    std::fprintf(stderr, "%s: %s duration '%s' must be > 0\n", argv0, flag,
-                 val.c_str());
-    std::exit(2);
-  }
+  if (ms <= 0.0) reject("%s duration '%s' must be > 0\n", flag, val.c_str());
   return sim::milliseconds(ms);
 }
 
-obs::SloConfig parse_slo_spec(const char* argv0, const std::string& spec) {
+obs::SloConfig parse_slo_spec(const std::string& spec) {
   obs::SloConfig cfg;
-  for_each_clause(argv0, "--slo", spec,
+  for_each_clause("--slo", spec,
                   [&](const std::string& key, const std::string& val) {
-    if (key == "target") cfg.latency_target = parse_duration(argv0, "--slo", val);
-    else if (key == "objective") cfg.objective = std::atof(val.c_str());
-    else if (key == "window") cfg.window = parse_duration(argv0, "--slo", val);
-    else if (key == "burn") cfg.burn_alert = std::atof(val.c_str());
-    else {
-      std::fprintf(stderr, "%s: --slo has no key '%s'\n", argv0, key.c_str());
-      std::exit(2);
-    }
+    const std::string what = "--slo " + key;
+    if (key == "target") cfg.latency_target = parse_duration("--slo", val);
+    else if (key == "objective") set_number(cfg.objective, what, val);
+    else if (key == "window") cfg.window = parse_duration("--slo", val);
+    else if (key == "burn") set_number(cfg.burn_alert, what, val);
+    else reject("--slo has no key '%s'\n", key.c_str());
   });
   if (cfg.objective <= 0.0 || cfg.objective >= 1.0 || cfg.burn_alert <= 0.0) {
-    std::fprintf(stderr,
-                 "%s: --slo needs objective in (0,1) and burn > 0\n", argv0);
-    std::exit(2);
+    reject("--slo needs objective in (0,1) and burn > 0\n");
   }
   return cfg;
 }
+
+/// The scraper keeps every sample of every series in memory.
+constexpr std::size_t kMaxWatchSamples = 100'000;
 
 struct WatchCli {
   sim::Time interval = sim::milliseconds(250);
@@ -449,53 +441,37 @@ struct WatchCli {
   std::string out;
 };
 
-WatchCli parse_watch_spec(const char* argv0, const std::string& spec) {
+WatchCli parse_watch_spec(const std::string& spec) {
   WatchCli cli;
-  for_each_clause(argv0, "--watch", spec,
+  for_each_clause("--watch", spec,
                   [&](const std::string& key, const std::string& val) {
-    if (key == "interval") cli.interval = parse_duration(argv0, "--watch", val);
-    else if (key == "samples") {
-      cli.samples = static_cast<std::size_t>(std::atoll(val.c_str()));
-    }
+    const std::string what = "--watch " + key;
+    if (key == "interval") cli.interval = parse_duration("--watch", val);
+    else if (key == "samples") set_number(cli.samples, what, val);
     else if (key == "out") cli.out = val;
-    else {
-      std::fprintf(stderr, "%s: --watch has no key '%s'\n", argv0,
-                   key.c_str());
-      std::exit(2);
-    }
+    else reject("--watch has no key '%s'\n", key.c_str());
   });
-  if (cli.samples < 2) {
-    std::fprintf(stderr, "%s: --watch needs samples >= 2\n", argv0);
-    std::exit(2);
+  if (cli.samples < 2) reject("--watch needs samples >= 2\n");
+  if (cli.samples > kMaxWatchSamples) {
+    reject("--watch needs samples <= %zu\n", kMaxWatchSamples);
   }
   return cli;
 }
 
-obs::SampleConfig parse_trace_sample_spec(const char* argv0,
-                                          const std::string& spec) {
+obs::SampleConfig parse_trace_sample_spec(const std::string& spec) {
   obs::SampleConfig cfg;
-  for_each_clause(argv0, "--trace-sample", spec,
+  for_each_clause("--trace-sample", spec,
                   [&](const std::string& key, const std::string& val) {
-    if (key == "p") cfg.probability = std::atof(val.c_str());
-    else if (key == "reservoir") {
-      cfg.reservoir = static_cast<std::size_t>(std::atoll(val.c_str()));
-    }
-    else if (key == "seed") {
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(val.c_str()));
-    }
-    else {
-      std::fprintf(stderr, "%s: --trace-sample has no key '%s'\n", argv0,
-                   key.c_str());
-      std::exit(2);
-    }
+    const std::string what = "--trace-sample " + key;
+    if (key == "p") set_number(cfg.probability, what, val);
+    else if (key == "reservoir") set_number(cfg.reservoir, what, val);
+    else if (key == "seed") set_number(cfg.seed, what, val);
+    else reject("--trace-sample has no key '%s'\n", key.c_str());
   });
   if (cfg.probability < 0.0 || cfg.probability > 1.0 ||
       (cfg.probability == 0.0 && cfg.reservoir == 0)) {
-    std::fprintf(stderr,
-                 "%s: --trace-sample needs p in [0,1] and at least one of "
-                 "p > 0 or reservoir > 0\n",
-                 argv0);
-    std::exit(2);
+    reject("--trace-sample needs p in [0,1] and at least one of p > 0 or "
+           "reservoir > 0\n");
   }
   return cfg;
 }
@@ -510,6 +486,720 @@ workload::Arch parse_arch(const std::string& s) {
   std::exit(2);
 }
 
+/// Everything the command line says, as parse_args() read it; validate()
+/// then parses the clause specs into the fields below the divider and
+/// loads the fault plan.  Unset optionals mean "flag not given".
+struct RunSpec {
+  workload::Arch arch = workload::Arch::kRaidX;
+  int nodes = 16, disks = 1, clients = 8, ops = 1, window = 2;
+  int shards = 1, threads = 0, sites = 1;
+  std::uint64_t bytes = 64ull << 20;
+  std::uint32_t block = 32'768;
+  bool is_write = false, scattered = false, verbose = false;
+  bool bg_mirrors = true, locks = true;
+  std::uint64_t seed = 42;
+  std::vector<int> fails;
+  std::string replay_file, dump_trace_file, trace_out, metrics_out;
+  double cache_mb = 0.0;
+  std::string cache_policy = "wt", cache_evict = "lru";
+  bool coop_cache = false;
+  int warm = 0;
+  std::string workload_kind = "io";
+  std::string faults_spec;
+  bool ha_on = false, no_ha = false;
+  int spares = 1, global_spares = 0;
+  double rebuild_mbs = 0.0, timeout_ms = 0.0;
+  bool verify_reads = false;
+  double scrub_rate = 0.0;
+  int fail_threshold = 0;
+  std::string open_loop_spec, disk_type_spec;
+  std::optional<std::string> slo_spec, watch_spec, trace_sample_spec;
+  std::optional<double> wan_rtt_ms, wan_bw, geo_rep_mbs;
+  std::optional<std::uint64_t> wan_window;
+  bool geo_rep = false;
+
+  // ---- filled by validate()
+  OpenLoopCli open_loop;
+  DiskTypeCli disk_type;
+  obs::SloConfig slo;
+  WatchCli watch;
+  obs::SampleConfig trace_sample;
+  ha::FaultPlan plan;
+
+  bool open_loop_on() const { return !open_loop_spec.empty(); }
+  /// Recovery orchestration: asked for, or implied by a fault plan (chaos
+  /// without recovery needs --no-ha).
+  bool orchestrate() const {
+    return ha_on || (!faults_spec.empty() && !no_ha);
+  }
+  std::uint64_t blocks_per_disk() const { return (10ull << 30) / block; }
+};
+
+RunSpec parse_args(int argc, char** argv) {
+  RunSpec s;
+  for (int i = 1; i < argc; ++i) {
+    std::string a = argv[i];
+    // Accept --flag=value as well as --flag value.
+    std::optional<std::string> inline_value;
+    if (a.rfind("--", 0) == 0) {
+      const std::size_t eq = a.find('=');
+      if (eq != std::string::npos) {
+        inline_value = a.substr(eq + 1);
+        a = a.substr(0, eq);
+      }
+    }
+    bool consumed_value = false;
+    auto next = [&]() -> std::string {
+      consumed_value = true;
+      if (inline_value) return *inline_value;
+      if (i + 1 >= argc) reject("missing value for %s\n", a.c_str());
+      return argv[++i];
+    };
+    auto num = [&](auto& field) { set_number(field, a, next()); };
+    if (a == "--arch") s.arch = parse_arch(next());
+    else if (a == "--nodes") num(s.nodes);
+    else if (a == "--shards") num(s.shards);
+    else if (a == "--sites") num(s.sites);
+    else if (a == "--wan-rtt") s.wan_rtt_ms = parse_number<double>(a, next());
+    else if (a == "--wan-bw") s.wan_bw = parse_number<double>(a, next());
+    else if (a == "--wan-window") {
+      s.wan_window = parse_size(a, next(), 0, kMaxBytes);
+    }
+    else if (a == "--geo-rep") s.geo_rep = true;
+    else if (a == "--geo-rep-mbs") {
+      s.geo_rep_mbs = parse_number<double>(a, next());
+    }
+    else if (a == "--threads") num(s.threads);
+    else if (a == "--disks") num(s.disks);
+    else if (a == "--clients") num(s.clients);
+    else if (a == "--op") s.is_write = (next() == "write");
+    else if (a == "--bytes") s.bytes = parse_size(a, next(), 1, kMaxBytes);
+    else if (a == "--ops") num(s.ops);
+    else if (a == "--scattered") s.scattered = true;
+    else if (a == "--block") {
+      s.block = static_cast<std::uint32_t>(parse_size(a, next(), 512, 1 << 30));
+    }
+    else if (a == "--fail") s.fails.push_back(parse_number<int>(a, next()));
+    else if (a == "--disk-type") s.disk_type_spec = next();
+    else if (a == "--no-bg-mirrors") s.bg_mirrors = false;
+    else if (a == "--no-locks") s.locks = false;
+    else if (a == "--window") s.window = parse_number<int>(a, next(), 1);
+    else if (a == "--cache-mb") {
+      num(s.cache_mb);
+      if (s.cache_mb < 0.0) {
+        std::fprintf(stderr, "--cache-mb must be >= 0\n");
+        std::exit(2);
+      }
+    }
+    else if (a == "--cache-policy") s.cache_policy = next();
+    else if (a == "--cache-evict") s.cache_evict = next();
+    else if (a == "--coop-cache") s.coop_cache = true;
+    else if (a == "--warm") num(s.warm);
+    else if (a == "--workload") s.workload_kind = next();
+    else if (a == "--faults") s.faults_spec = next();
+    else if (a == "--ha") s.ha_on = true;
+    else if (a == "--no-ha") s.no_ha = true;
+    else if (a == "--spares") num(s.spares);
+    else if (a == "--global-spares") num(s.global_spares);
+    else if (a == "--rebuild-mbs") num(s.rebuild_mbs);
+    else if (a == "--timeout-ms") num(s.timeout_ms);
+    else if (a == "--verify-reads") s.verify_reads = true;
+    else if (a == "--scrub-rate") num(s.scrub_rate);
+    else if (a == "--fail-threshold") num(s.fail_threshold);
+    else if (a == "--seed") num(s.seed);
+    else if (a == "--open-loop") s.open_loop_spec = next();
+    else if (a == "--replay") s.replay_file = next();
+    else if (a == "--dump-trace") s.dump_trace_file = next();
+    else if (a == "--trace") s.trace_out = next();
+    else if (a == "--trace-sample") s.trace_sample_spec = next();
+    else if (a == "--slo") s.slo_spec = next();
+    else if (a == "--watch") s.watch_spec = next();
+    else if (a == "--metrics") s.metrics_out = next();
+    else if (a == "--verbose") s.verbose = true;
+    else {
+      std::fprintf(stderr, "%s: unknown option %s\n\n", argv[0], a.c_str());
+      usage(argv[0]);
+    }
+    if (inline_value && !consumed_value) {
+      reject("%s takes no value\n", a.c_str());
+    }
+  }
+  return s;
+}
+
+/// The one validation pass.  Every rejected input or flag combination --
+/// including ones that would silently do nothing, or fail only after a
+/// long build -- cites the flag or clause at fault and exits 2 before
+/// anything is built.  Checks run in a fixed order, so the same bad
+/// command line always gets the same message.
+void validate(RunSpec& s) {
+  if (s.nodes < 2 || s.disks < 1 || s.clients < 1 || s.ops < 1) usage(g_argv0);
+  const bool cache_on = s.cache_mb > 0.0 && s.cache_policy != "none";
+  if (s.warm < 0) reject("--warm must be >= 0\n");
+  if (s.warm > 0 && !cache_on) {
+    reject("--warm only makes sense with a cache; add --cache-mb (or drop "
+           "--warm)\n");
+  }
+  if (s.coop_cache && !cache_on) {
+    reject("--coop-cache requires a cache; add --cache-mb\n");
+  }
+  const bool andrew = s.workload_kind == "andrew";
+  if (s.workload_kind != "io" && !andrew) {
+    reject("unknown workload '%s' (io|andrew)\n", s.workload_kind.c_str());
+  }
+  if (s.ha_on && s.no_ha) reject("--ha and --no-ha conflict\n");
+  if (s.spares < 0 || s.global_spares < 0 || s.rebuild_mbs < 0 ||
+      s.timeout_ms < 0) {
+    reject("--spares/--global-spares/--rebuild-mbs/--timeout-ms must be "
+           ">= 0\n");
+  }
+  if (s.scrub_rate < 0 || s.fail_threshold < 0) {
+    reject("--scrub-rate/--fail-threshold must be >= 0\n");
+  }
+  if (andrew && !s.replay_file.empty()) {
+    reject("--workload andrew and --replay conflict\n");
+  }
+  if (s.open_loop_on() &&
+      (andrew || !s.replay_file.empty() || !s.dump_trace_file.empty())) {
+    reject("--open-loop replaces the workload; it conflicts with --workload "
+           "andrew, --replay, and --dump-trace\n");
+  }
+  if (s.open_loop_on()) s.open_loop = parse_open_loop_spec(s.open_loop_spec);
+  const OpenLoopCli& ol = s.open_loop;
+
+  // Device mix: parse first, then check the combinations the layouts can
+  // actually place.
+  if (!s.disk_type_spec.empty()) {
+    s.disk_type = parse_disk_type_spec(s.disk_type_spec);
+  }
+  const DiskTypeCli::Kind kind = s.disk_type.kind;
+  if (kind == DiskTypeCli::Kind::kHybrid) {
+    if (s.arch != workload::Arch::kRaid1 && s.arch != workload::Arch::kRaid10 &&
+        s.arch != workload::Arch::kRaidX) {
+      reject("--disk-type hybrid places primaries on SSD and mirror images on "
+             "HDD; it needs a mirrored layout (--arch raid1|raid10|raidx)\n");
+    }
+    if (s.arch != workload::Arch::kRaid1 && s.disks % 2 != 0) {
+      reject("--disk-type hybrid splits each node's disk rows in half (SSD "
+             "data rows over HDD image rows); --disks %d must be even\n",
+             s.disks);
+    }
+  }
+  if (kind != DiskTypeCli::Kind::kHdd && s.shards > 1) {
+    reject("--disk-type %s builds a heterogeneous device map; the sharded "
+           "runner is spindle-only (drop --shards)\n",
+           kind == DiskTypeCli::Kind::kSsd ? "ssd" : "hybrid");
+  }
+
+  // Federations: shards and sites.
+  if (s.shards < 1) reject("--shards must be >= 1 (got %d)\n", s.shards);
+  if (s.threads < 0) reject("--threads must be >= 0 (got %d)\n", s.threads);
+  if (s.threads > 0 && s.shards == 1) {
+    reject("--threads drives the shard worker pool; it needs --shards > 1\n");
+  }
+  if (ol.remote > 0.0 && s.shards == 1 && s.sites == 1) {
+    reject("--open-loop remote=%g sends traffic across shards or sites; it "
+           "needs --shards > 1 or --sites > 1\n", ol.remote);
+  }
+  if (s.sites < 1) reject("--sites must be >= 1 (got %d)\n", s.sites);
+  if (s.sites == 1 && (s.wan_rtt_ms || s.wan_bw || s.wan_window || s.geo_rep)) {
+    reject("--wan-rtt/--wan-bw/--wan-window/--geo-rep shape the inter-site "
+           "WAN; they need --sites > 1\n");
+  }
+  if (s.geo_rep_mbs && !s.geo_rep) {
+    reject("--geo-rep-mbs throttles replication catch-up; add --geo-rep\n");
+  }
+  const bool single_site_features = !s.fails.empty() || s.verify_reads ||
+                                    s.scrub_rate > 0 ||
+                                    s.fail_threshold > 0 || s.warm > 0;
+  if (s.sites > 1) {
+    if (s.shards > 1) {
+      reject("--sites and --shards are different federations (WAN mesh vs "
+             "threaded placement groups); pick one\n");
+    }
+    if (!s.open_loop_on()) {
+      reject("--sites %d drives each site with open-loop traffic; add "
+             "--open-loop SPEC\n", s.sites);
+    }
+    if (s.arch == workload::Arch::kNfs) {
+      reject("--sites needs a block engine per site; --arch nfs has one "
+             "central server and cannot federate\n");
+    }
+    // Unset knobs take the (positive) wan::LinkParams defaults.
+    if (s.wan_rtt_ms.value_or(1) <= 0 || s.wan_bw.value_or(1) <= 0 ||
+        s.wan_window.value_or(1) == 0) {
+      reject("--wan-rtt/--wan-bw/--wan-window must be > 0\n");
+    }
+    if (s.geo_rep_mbs.value_or(0) < 0) reject("--geo-rep-mbs must be >= 0\n");
+    if (s.ha_on) {
+      reject("--ha orchestration is per-site and not federated yet; WAN "
+             "chaos runs raw (drop --ha)\n");
+    }
+    if (ol.qos_mbs > 0.0) {
+      reject("--open-loop qos-mbs gates one array; the WAN federation does "
+             "not gate yet (drop qos-mbs or --sites)\n");
+    }
+    if (single_site_features) {
+      reject("--fail/--verify-reads/--scrub-rate/--fail-threshold/--warm are "
+             "single-site features (use --faults for WAN chaos)\n");
+    }
+    if (s.watch_spec) {
+      reject("--watch scrapes one cluster's resources; it does not support "
+             "--sites > 1 yet\n");
+    }
+  }
+  if (s.shards > 1) {
+    if (!s.open_loop_on()) {
+      reject("--shards %d partitions the open-loop engine; add --open-loop "
+             "SPEC (the closed-loop workloads run single-shard)\n", s.shards);
+    }
+    if (s.arch == workload::Arch::kNfs) {
+      reject("--shards needs a block engine per group; --arch nfs has one "
+             "central server and cannot shard\n");
+    }
+    if (s.nodes % s.shards != 0) {
+      reject("--nodes %d is not divisible by --shards %d (every placement "
+             "group must be identical)\n", s.nodes, s.shards);
+    }
+    if (s.nodes / s.shards < 2) {
+      reject("--nodes %d over --shards %d leaves %d node(s) per group; the "
+             "array geometry needs >= 2\n", s.nodes, s.shards,
+             s.nodes / s.shards);
+    }
+    if (ol.qos_mbs > 0.0) {
+      reject("--open-loop qos-mbs is per-array admission; the sharded runner "
+             "does not gate yet (drop qos-mbs or --shards)\n");
+    }
+    if (single_site_features) {
+      reject("--fail/--verify-reads/--scrub-rate/--fail-threshold/--warm are "
+             "single-shard features (use --faults for sharded chaos)\n");
+    }
+    if (!s.trace_out.empty() || s.trace_sample_spec || s.slo_spec ||
+        s.watch_spec) {
+      reject("--trace/--trace-sample/--slo/--watch attach to one "
+             "simulation's hub; they do not support --shards > 1 yet\n");
+    }
+  }
+
+  // Telemetry specs: a sampler without a trace file, or an SLO with no
+  // open-loop traffic to observe, would silently do nothing.
+  if (s.trace_sample_spec && s.trace_out.empty()) {
+    reject("--trace-sample needs --trace FILE\n");
+  }
+  if (s.slo_spec && !s.open_loop_on()) {
+    reject("--slo monitors open-loop traffic; add --open-loop\n");
+  }
+  if (s.slo_spec) s.slo = parse_slo_spec(*s.slo_spec);
+  if (s.watch_spec) s.watch = parse_watch_spec(*s.watch_spec);
+  if (s.trace_sample_spec) {
+    s.trace_sample = parse_trace_sample_spec(*s.trace_sample_spec);
+  }
+  if (!s.replay_file.empty() && !s.dump_trace_file.empty()) {
+    reject("--replay and --dump-trace conflict (replay consumes a trace, "
+           "dump-trace only generates one)\n");
+  }
+  // Output paths are probed now so a bad path fails in milliseconds, not
+  // after the whole simulation has run.
+  for (const std::string* out : {&s.trace_out, &s.metrics_out, &s.watch.out}) {
+    if (!out->empty() && !std::ofstream(*out)) {
+      reject("cannot write %s\n", out->c_str());
+    }
+  }
+  if (s.cache_policy != "none" && s.cache_policy != "wt" &&
+      s.cache_policy != "wb") {
+    std::fprintf(stderr, "unknown cache policy: %s\n", s.cache_policy.c_str());
+    std::exit(2);
+  }
+  if (s.cache_evict != "lru" && s.cache_evict != "2q") {
+    std::fprintf(stderr, "unknown eviction policy: %s\n",
+                 s.cache_evict.c_str());
+    std::exit(2);
+  }
+
+  // Chaos plan, in federation-global ids: shard s owns disks
+  // [s * nodes/shards * disks, ...) and site s owns [s * nodes * disks,
+  // ...).  Partition events need a CDD timeout, or any request in flight
+  // across the partition waits forever.
+  if (!s.faults_spec.empty()) {
+    const bool wan = s.sites > 1;
+    try {
+      s.plan = ha::FaultPlan::parse(
+          s.faults_spec, s.sites * s.nodes * s.disks, s.blocks_per_disk(),
+          wan ? s.sites : 0, wan ? wan::Federation::mesh_links(s.sites) : 0);
+    } catch (const std::exception& e) {
+      reject("%s\n", e.what());
+    }
+    for (const ha::FaultEvent& ev : s.plan.events()) {
+      using K = ha::FaultEvent::Kind;
+      const bool node_fault =
+          ev.kind == K::kPartitionNode || ev.kind == K::kJoinNode;
+      const bool corrupt = ev.kind == K::kCorruptBlock;
+      if (wan && node_fault) {
+        reject("part:/join: node faults are single-site features; use "
+               "partition:site= under --sites\n");
+      }
+      if (wan && corrupt) {
+        reject("corrupt:/rot: faults need the integrity plane, which is "
+               "single-site; use fail:/partition: chaos under --sites\n");
+      }
+      if (ev.kind == K::kPartitionNode && s.timeout_ms <= 0) {
+        reject("part: faults need --timeout-ms, or requests at the "
+               "partitioned node block forever\n");
+      }
+      if (node_fault && (ev.target < 0 || ev.target >= s.nodes)) {
+        reject("no such node: %d\n", ev.target);
+      }
+      if (corrupt && s.shards > 1) {
+        reject("corrupt: faults need the integrity plane, which is "
+               "single-shard; use fail:/part: chaos under --shards\n");
+      }
+    }
+  }
+  for (int f : s.fails) {
+    if (f < 0 || f >= s.nodes * s.disks) {
+      std::fprintf(stderr, "no such disk: %d\n", f);
+      std::exit(2);
+    }
+  }
+}
+
+/// One array's build parameters, shared by all three topologies.
+struct StackParams {
+  cluster::ClusterParams cluster = cluster::ClusterParams::trojans();
+  raid::EngineParams engine;
+  cache::CacheParams cache;
+  cdd::CddParams cdd;
+};
+
+/// `nodes` is one array's node count (a shard's, under --shards).
+StackParams stack_params(const RunSpec& s, int nodes) {
+  StackParams p;
+  auto& g = p.cluster.geometry;
+  g.nodes = nodes;
+  g.disks_per_node = s.disks;
+  g.block_bytes = s.block;
+  g.blocks_per_disk = s.blocks_per_disk();
+  // Andrew builds a real file system and verifies its bytes, so the disks
+  // must store data; the synthetic sweeps only measure timing.
+  p.cluster.disk.store_data = s.workload_kind == "andrew";
+
+  // Device mix: ssd makes every slot flash; hybrid puts the top disk rows
+  // (data) on flash and the bottom rows (mirror images) on spindles --
+  // except RAID-1, whose mirror pairs are adjacent global ids, so the map
+  // splits even (primary, SSD) from odd (mirror, HDD) instead.
+  const DiskTypeCli& dt = s.disk_type;
+  p.cluster.flash = dt.flash;
+  if (dt.kind != DiskTypeCli::Kind::kHdd) {
+    const int total = nodes * s.disks;
+    p.cluster.device_map.assign(static_cast<std::size_t>(total),
+                                disk::DeviceClass::kHdd);
+    for (int id = 0; id < total; ++id) {
+      bool ssd = true;
+      if (dt.kind == DiskTypeCli::Kind::kHybrid) {
+        ssd = s.arch == workload::Arch::kRaid1 ? id % 2 == 0
+                                               : id / nodes < s.disks / 2;
+      }
+      if (ssd) {
+        p.cluster.device_map[static_cast<std::size_t>(id)] =
+            disk::DeviceClass::kSsd;
+      }
+    }
+  }
+
+  if (s.timeout_ms > 0) p.cdd.request_timeout = sim::milliseconds(s.timeout_ms);
+  p.engine.background_mirrors = s.bg_mirrors;
+  p.engine.use_locks = s.locks;
+  p.engine.read_window = s.window;
+  p.engine.write_window = s.window;
+  // RAID-1 pairs are already split even/odd by the device map; only the
+  // row-split layouts need the hybrid placement variant.
+  p.engine.hybrid_mirrors = dt.kind == DiskTypeCli::Kind::kHybrid &&
+                            s.arch != workload::Arch::kRaid1;
+  if (s.cache_policy == "none") {
+    p.cache.capacity_blocks = 0;
+  } else {
+    p.cache.capacity_blocks = static_cast<std::uint64_t>(
+        s.cache_mb * 1024.0 * 1024.0 / static_cast<double>(s.block));
+    p.cache.write_policy = s.cache_policy == "wb"
+                               ? cache::WritePolicy::kWriteBack
+                               : cache::WritePolicy::kWriteThrough;
+  }
+  if (s.cache_evict == "2q") p.cache.eviction = cache::EvictionPolicy::k2Q;
+  p.cache.cooperative = s.coop_cache;
+  return p;
+}
+
+ha::HaParams ha_params(const RunSpec& s) {
+  ha::HaParams hp;
+  hp.spares_per_node = s.spares;
+  hp.global_spares = s.global_spares;
+  hp.rebuild_mbs = s.rebuild_mbs;
+  return hp;
+}
+
+void print_plan(const ha::FaultPlan& plan, bool orchestrated,
+                const std::string& scope) {
+  std::printf("fault plan (%s%s):\n%s", orchestrated ? "orchestrated" : "raw",
+              scope.c_str(), plan.describe().c_str());
+}
+
+/// Every tenant gets the spec's shape; federations offset the seed and the
+/// LBA base per group.
+load::OpenLoopConfig open_loop_config(const RunSpec& s) {
+  load::OpenLoopConfig cfg;
+  cfg.tenants.assign(static_cast<std::size_t>(s.open_loop.tenants),
+                     s.open_loop.shape);
+  cfg.duration = sim::seconds(s.open_loop.duration_s);
+  cfg.seed = s.seed;
+  cfg.max_in_flight = s.open_loop.cap;
+  return cfg;
+}
+
+/// The open-loop summary.  `group` names what a federation sums over
+/// ("shard" or "site"); nullptr means a single array.
+void report_open_loop(const load::ShardedLoadResult& r, double window_s,
+                      const char* group) {
+  const bool sites = group != nullptr && std::strcmp(group, "site") == 0;
+  const std::string drained =
+      group != nullptr ? std::string("slowest ") + group + " drained"
+                       : "drained";
+  std::printf("\noffered             : %8.2f MB/s (%llu requests over %.3f "
+              "s%s)\n",
+              r.offered_mbs, ull(r.offered), window_s,
+              sites ? ", all sites" : "");
+  std::printf("goodput             : %8.2f MB/s (%llu completed, %s at %.3f "
+              "s)\n",
+              r.goodput_mbs, ull(r.completed), drained.c_str(),
+              sim::to_seconds(r.drained_at));
+  std::printf("turned away         : %llu rejected, %llu shed, %llu failed, "
+              "%llu cap-dropped\n",
+              ull(r.rejected), ull(r.shed), ull(r.failed), ull(r.cap_dropped));
+  if (group == nullptr) {
+    std::printf("peak in flight      : %llu concurrent requests\n",
+                ull(r.peak_in_flight));
+  } else if (!sites) {
+    std::printf("cross-shard         : %llu of %llu arrivals over the spine\n",
+                ull(r.remote_ops), ull(r.offered));
+  }
+  std::printf("latency             : p50 %.2f ms, p99 %.2f ms, p999 %.2f ms\n",
+              r.latency.quantile(0.50) / 1e6, r.latency.quantile(0.99) / 1e6,
+              r.latency.quantile(0.999) / 1e6);
+}
+
+/// --verbose: one line per shard or site of a federation.
+void report_per_group(const RunSpec& s, const load::ShardedLoadResult& r,
+                      const char* group) {
+  if (!s.verbose) return;
+  for (std::size_t g = 0; g < r.per_shard.size(); ++g) {
+    const load::OpenLoopResult& x = r.per_shard[g];
+    std::printf("  %s %2zu: offered %7.2f MB/s, goodput %7.2f MB/s, p99 "
+                "%8.2f ms, %llu remote\n",
+                group, g, x.offered_mbs, x.goodput_mbs,
+                x.latency.quantile(0.99) / 1e6, ull(x.remote_ops));
+  }
+}
+
+/// Writes `json` and a newline to `path` and names it under `label`;
+/// returns the exit status (1 when the write failed).
+int write_json(const char* label, const std::string& path,
+               const std::string& json) {
+  std::ofstream out(path);
+  out << json << "\n";
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return 1;
+  }
+  std::printf("%-20s: %s\n", label, path.c_str());
+  return 0;
+}
+
+/// The hub's --metrics artifact.  The ordered cluster event log rides the
+/// same file; the flat snapshot moves under "metrics" only when events
+/// exist, so plain --metrics files keep their historical shape.
+std::string hub_metrics_json(obs::Hub& hub) {
+  if (hub.events() == nullptr) return hub.registry().snapshot_json();
+  return "{\"metrics\":" + hub.registry().snapshot_json() +
+         ",\"events\":" + hub.events()->json() + "}";
+}
+
+/// Trace, SLO, event log, --watch table and --metrics file of a run with
+/// one hub (single site or WAN federation).  Collect into the hub's
+/// registry before calling.  Returns the exit status.
+int export_obs(const RunSpec& s, obs::Hub& hub, sim::Simulation& sim,
+               const obs::Scraper* scraper) {
+  if (!s.trace_out.empty()) {
+    std::string err;
+    if (!hub.tracer().export_chrome(s.trace_out, sim.now(), &err)) {
+      std::fprintf(stderr, "%s\n", err.c_str());
+      return 1;
+    }
+    const obs::Tracer& tr = hub.tracer();
+    if (tr.selective()) {
+      std::printf("trace               : %llu sampled + %zu reservoir "
+                  "trace(s) of %llu -> %s\n",
+                  ull(tr.sampled_kept()), tr.reservoir_count(),
+                  ull(tr.traces_started()), s.trace_out.c_str());
+    } else {
+      std::printf("trace               : %zu spans -> %s\n",
+                  tr.spans().size(), s.trace_out.c_str());
+    }
+  }
+  if (const obs::SloMonitor* slo = hub.slo()) {
+    const obs::SloStats& ss = slo->stats();
+    std::printf("slo                 : %llu/%llu over %.1f ms target, %llu "
+                "window(s), %llu breach(es), %llu recover(ies), worst burn "
+                "%.2fx\n",
+                ull(ss.violations), ull(ss.requests),
+                sim::to_milliseconds(slo->config().latency_target),
+                ull(ss.windows), ull(ss.breaches), ull(ss.recoveries),
+                ss.worst_burn);
+  }
+  if (hub.events() != nullptr && !hub.events()->events().empty()) {
+    std::printf("events              : %zu in cluster log",
+                hub.events()->events().size());
+    if (const obs::ClusterEvent* b = hub.events()->first("slo.breach")) {
+      std::printf("; first breach at %.3f s", sim::to_seconds(b->at));
+    }
+    std::printf("\n");
+    if (s.verbose) {
+      for (const obs::ClusterEvent& ev : hub.events()->events()) {
+        std::printf("  [%12.6f s] %-20s %s\n", sim::to_seconds(ev.at),
+                    ev.kind.c_str(), ev.detail.c_str());
+      }
+    }
+  }
+  if (scraper != nullptr) {
+    std::printf("\nwatch (%zu samples @ %.0f ms):\n%s", scraper->samples(),
+                sim::to_milliseconds(scraper->interval()),
+                scraper->render().c_str());
+    if (!s.watch.out.empty() &&
+        write_json("watch json", s.watch.out, scraper->json()) != 0) {
+      return 1;
+    }
+  }
+  if (s.metrics_out.empty()) return 0;
+  return write_json("metrics", s.metrics_out, hub_metrics_json(hub));
+}
+
+/// --watch: sim-time series scraper.  Sampling rides daemon events, which
+/// never keep run() alive or shift foreground timestamps, so a watched run
+/// finishes at the same simulated instant as an unwatched one.
+std::unique_ptr<obs::Scraper> make_scraper(const WatchCli& w,
+                                           sim::Simulation& sim,
+                                           cluster::Cluster& cluster,
+                                           cdd::CddFabric& fabric) {
+  auto scraper = std::make_unique<obs::Scraper>(sim, w.interval, w.samples);
+  scraper->add_series(
+      "disk.util", [&cluster, &sim, prev = 0.0, prev_t = 0.0]() mutable {
+        double busy = 0.0;
+        for (int d = 0; d < cluster.total_disks(); ++d) {
+          busy += static_cast<double>(cluster.disk(d).busy_time());
+        }
+        const double now = static_cast<double>(sim.now());
+        const double span = (now - prev_t) * cluster.total_disks();
+        const double u = span > 0.0 ? (busy - prev) / span : 0.0;
+        prev = busy;
+        prev_t = now;
+        return u;
+      });
+  scraper->add_series(
+      "net.tx_mbs", [&cluster, &sim, prev = 0.0, prev_t = 0.0]() mutable {
+        net::Network& net = cluster.network();
+        double sent = 0.0;
+        for (int n = 0; n < net.nodes(); ++n) {
+          sent += static_cast<double>(net.bytes_sent(n));
+        }
+        const double now = static_cast<double>(sim.now());
+        // bytes/ns -> MB/s is a factor of 1000.
+        const double mbs =
+            now > prev_t ? (sent - prev) / (now - prev_t) * 1e3 : 0.0;
+        prev = sent;
+        prev_t = now;
+        return mbs;
+      });
+  scraper->add_series(
+      "cdd.remote_ops", [&fabric, &sim, prev = 0.0, prev_t = 0.0]() mutable {
+        const double ops = static_cast<double>(fabric.remote_requests());
+        const double now = static_cast<double>(sim.now());
+        const double rate =
+            now > prev_t ? (ops - prev) / ((now - prev_t) * 1e-9) : 0.0;
+        prev = ops;
+        prev_t = now;
+        return rate;
+      });
+  scraper->add_series("sim.pending", [&sim]() {
+    return static_cast<double>(sim.foreground_pending());
+  });
+  scraper->start();
+  return scraper;
+}
+
+void print_ha_summary(const ha::Orchestrator* orch) {
+  if (orch == nullptr) return;
+  const ha::HaStats& hs = orch->stats();
+  std::printf("ha                  : %llu detections (%llu traffic, %llu "
+              "probe), %llu failovers, %llu rebuilds, %d spares left\n",
+              ull(hs.detections), ull(hs.detections_by_traffic),
+              ull(hs.detections_by_probe), ull(hs.failovers),
+              ull(hs.rebuilds_completed), orch->spares().total_available());
+  if (!hs.mttr_ns.empty()) {
+    double sum = 0;
+    for (sim::Time t : hs.mttr_ns) sum += static_cast<double>(t);
+    std::printf("ha mttr             : %8.3f s mean over %zu recoveries\n",
+                sum / static_cast<double>(hs.mttr_ns.size()) * 1e-9,
+                hs.mttr_ns.size());
+  }
+}
+
+/// Returns nonzero when the scrub soak failed to converge: with the daemon
+/// on, every injected error must be accounted for -- detected (and
+/// repaired or explicitly listed unrecoverable), overwritten by traffic,
+/// or superseded by a whole-disk recovery -- and no repair may have
+/// errored out.  CI runs storms through this gate.
+int print_integrity_summary(const integrity::IntegrityPlane* plane) {
+  if (plane == nullptr) return 0;
+  const integrity::IntegrityStats& is = plane->stats();
+  std::printf("integrity           : %llu injected, %llu detected (%llu read, "
+              "%llu scrub), %llu repaired, %llu unrecoverable\n",
+              ull(is.injected), ull(is.detected), ull(is.detected_by_read),
+              ull(is.detected_by_scrub), ull(is.repaired),
+              ull(is.unrecoverable));
+  if (is.overwritten > 0 || is.superseded > 0 || is.escalations > 0) {
+    std::printf("integrity (other)   : %llu overwritten, %llu superseded by "
+                "rebuild, %llu disks escalated\n",
+                ull(is.overwritten), ull(is.superseded), ull(is.escalations));
+  }
+  if (plane->params().scrub) {
+    std::printf("scrub               : %llu passes, %llu blocks verified (cap "
+                "%.1f MB/s)\n",
+                ull(is.scrub_passes), ull(is.blocks_scrubbed),
+                plane->params().scrub_rate_mbs);
+  }
+  if (!is.mttd_ns.empty()) {
+    double sum = 0;
+    for (sim::Time t : is.mttd_ns) sum += static_cast<double>(t);
+    std::printf("integrity mttd      : %8.3f s mean over %zu detections\n",
+                sum / static_cast<double>(is.mttd_ns.size()) * 1e-9,
+                is.mttd_ns.size());
+  }
+  if (!is.unrecoverable_blocks.empty()) {
+    std::printf("unrecoverable blocks:");
+    for (const integrity::UnrecoverableBlock& b : is.unrecoverable_blocks) {
+      std::printf(" D%d:%llu", b.disk, ull(b.offset));
+    }
+    std::printf("\n");
+  }
+  if (plane->params().scrub && is.injected > 0 &&
+      (plane->undetected() > 0 || is.repairs_failed > 0)) {
+    std::fprintf(stderr,
+                 "integrity soak FAILED: %llu injected errors never "
+                 "accounted for, %llu repairs errored\n",
+                 ull(plane->undetected()), ull(is.repairs_failed));
+    return 1;
+  }
+  return 0;
+}
+
 // A run can end with processes still suspended (requests outliving their
 // RPC timeouts, clients stuck behind a partition).  Their frames hold
 // references into the cluster, fabric, engine and hub, all of which are
@@ -521,1380 +1211,309 @@ struct Teardown {
   ~Teardown() { sim.shutdown(); }
 };
 
-}  // namespace
+int dump_trace(const RunSpec& s) {
+  workload::TraceGenConfig tg;
+  tg.clients = s.clients;
+  tg.ops_per_client = s.ops;
+  tg.write_fraction = s.is_write ? 0.7 : 0.3;
+  tg.seed = s.seed;
+  std::ofstream out(s.dump_trace_file);
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", s.dump_trace_file.c_str());
+    return 1;
+  }
+  out << workload::format_trace(workload::generate_trace(tg));
+  std::printf("wrote %d x %d trace records to %s\n", s.clients, s.ops,
+              s.dump_trace_file.c_str());
+  return 0;
+}
 
-int main(int argc, char** argv) {
-  workload::Arch arch = workload::Arch::kRaidX;
-  int nodes = 16, disks = 1, clients = 8, ops = 1, window = 2;
-  int shards = 1, threads = 0;
-  std::uint64_t bytes = 64ull << 20;
-  std::uint32_t block = 32'768;
-  bool is_write = false, scattered = false, verbose = false;
-  bool bg_mirrors = true, locks = true;
-  std::uint64_t seed = 42;
-  std::vector<int> fails;
-  std::string replay_file, dump_trace_file, trace_out, metrics_out;
-  double cache_mb = 0.0;
-  std::string cache_policy = "wt";
-  std::string cache_evict = "lru";
-  bool coop_cache = false;
-  int warm = 0;
-  std::string workload_kind = "io";
-  std::string faults_spec;
-  bool ha_on = false, no_ha = false;
-  int spares = 1, global_spares = 0;
-  double rebuild_mbs = 0.0, timeout_ms = 0.0;
-  bool verify_reads = false;
-  double scrub_rate = 0.0;
-  int fail_threshold = 0;
-  std::string open_loop_spec;
-  std::string slo_spec, watch_spec, trace_sample_spec;
-  bool slo_on = false, watch_on = false, trace_sample_on = false;
-  std::string disk_type_spec;
-  int sites = 1;
-  double wan_rtt_ms = 40.0, wan_bw = 60.0;
-  std::uint64_t wan_window = std::uint64_t{1} << 20;
-  bool geo_rep = false;
-  double geo_rep_mbs = 0.0;
-  bool wan_rtt_set = false, wan_bw_set = false, wan_window_set = false,
-       geo_rep_mbs_set = false;
-
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    // Accept --flag=value as well as --flag value.
-    std::string inline_value;
-    bool has_inline = false;
-    if (a.rfind("--", 0) == 0) {
-      const std::size_t eq = a.find('=');
-      if (eq != std::string::npos) {
-        inline_value = a.substr(eq + 1);
-        a = a.substr(0, eq);
-        has_inline = true;
-      }
+/// Sharded federation: S identical placement groups advanced in parallel
+/// under the conservative synchronizer, open-loop traffic per group,
+/// optional ring-ordered cross-shard redirection.
+int run_sharded(const RunSpec& s) {
+  const StackParams p = stack_params(s, s.nodes / s.shards);
+  cluster::ShardedParams sp;
+  sp.shards = s.shards;
+  sp.arch = s.arch;
+  sp.engine = p.engine;
+  sp.cache = p.cache;
+  sp.cdd = p.cdd;
+  const bool orch = s.orchestrate();
+  cluster::ShardedCluster world(p.cluster, sp);
+  if (!s.plan.empty() || orch) {
+    const ha::HaParams hp = ha_params(s);
+    if (!s.plan.empty()) {
+      print_plan(s.plan, orch,
+                 ", partitioned over " + std::to_string(s.shards) + " shards");
     }
-    bool consumed_value = false;
-    auto next = [&]() -> std::string {
-      consumed_value = true;
-      if (has_inline) return inline_value;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value for %s\n", argv[0],
-                     a.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--arch") arch = parse_arch(next());
-    else if (a == "--nodes") nodes = std::atoi(next().c_str());
-    else if (a == "--shards") shards = std::atoi(next().c_str());
-    else if (a == "--sites") sites = std::atoi(next().c_str());
-    else if (a == "--wan-rtt") { wan_rtt_ms = std::atof(next().c_str()); wan_rtt_set = true; }
-    else if (a == "--wan-bw") { wan_bw = std::atof(next().c_str()); wan_bw_set = true; }
-    else if (a == "--wan-window") { wan_window = parse_size(next()); wan_window_set = true; }
-    else if (a == "--geo-rep") geo_rep = true;
-    else if (a == "--geo-rep-mbs") { geo_rep_mbs = std::atof(next().c_str()); geo_rep_mbs_set = true; }
-    else if (a == "--threads") threads = std::atoi(next().c_str());
-    else if (a == "--disks") disks = std::atoi(next().c_str());
-    else if (a == "--clients") clients = std::atoi(next().c_str());
-    else if (a == "--op") is_write = (next() == "write");
-    else if (a == "--bytes") bytes = parse_size(next());
-    else if (a == "--ops") ops = std::atoi(next().c_str());
-    else if (a == "--scattered") scattered = true;
-    else if (a == "--block") block = static_cast<std::uint32_t>(parse_size(next()));
-    else if (a == "--fail") fails.push_back(std::atoi(next().c_str()));
-    else if (a == "--disk-type") disk_type_spec = next();
-    else if (a == "--no-bg-mirrors") bg_mirrors = false;
-    else if (a == "--no-locks") locks = false;
-    else if (a == "--window") window = std::atoi(next().c_str());
-    else if (a == "--cache-mb") {
-      cache_mb = std::atof(next().c_str());
-      if (cache_mb < 0.0) {
-        std::fprintf(stderr, "--cache-mb must be >= 0\n");
-        return 2;
-      }
-    }
-    else if (a == "--cache-policy") cache_policy = next();
-    else if (a == "--cache-evict") cache_evict = next();
-    else if (a == "--coop-cache") coop_cache = true;
-    else if (a == "--warm") warm = std::atoi(next().c_str());
-    else if (a == "--workload") workload_kind = next();
-    else if (a == "--faults") faults_spec = next();
-    else if (a == "--ha") ha_on = true;
-    else if (a == "--no-ha") no_ha = true;
-    else if (a == "--spares") spares = std::atoi(next().c_str());
-    else if (a == "--global-spares") global_spares = std::atoi(next().c_str());
-    else if (a == "--rebuild-mbs") rebuild_mbs = std::atof(next().c_str());
-    else if (a == "--timeout-ms") timeout_ms = std::atof(next().c_str());
-    else if (a == "--verify-reads") verify_reads = true;
-    else if (a == "--scrub-rate") scrub_rate = std::atof(next().c_str());
-    else if (a == "--fail-threshold") fail_threshold = std::atoi(next().c_str());
-    else if (a == "--seed") seed = static_cast<std::uint64_t>(std::atoll(next().c_str()));
-    else if (a == "--open-loop") open_loop_spec = next();
-    else if (a == "--replay") replay_file = next();
-    else if (a == "--dump-trace") dump_trace_file = next();
-    else if (a == "--trace") trace_out = next();
-    else if (a == "--trace-sample") { trace_sample_spec = next(); trace_sample_on = true; }
-    else if (a == "--slo") { slo_spec = next(); slo_on = true; }
-    else if (a == "--watch") { watch_spec = next(); watch_on = true; }
-    else if (a == "--metrics") metrics_out = next();
-    else if (a == "--verbose") verbose = true;
-    else {
-      std::fprintf(stderr, "%s: unknown option %s\n\n", argv[0], a.c_str());
-      usage(argv[0]);
-    }
-    if (has_inline && !consumed_value) {
-      std::fprintf(stderr, "%s: %s takes no value\n", argv[0], a.c_str());
-      return 2;
-    }
-  }
-  if (nodes < 2 || disks < 1 || clients < 1 || ops < 1) usage(argv[0]);
-
-  // Reject flag combinations that would silently do nothing (or fail only
-  // after a long simulation).
-  const bool cache_on = cache_mb > 0.0 && cache_policy != "none";
-  if (warm < 0) {
-    std::fprintf(stderr, "%s: --warm must be >= 0\n", argv[0]);
-    return 2;
-  }
-  if (warm > 0 && !cache_on) {
-    std::fprintf(stderr,
-                 "%s: --warm only makes sense with a cache; add --cache-mb "
-                 "(or drop --warm)\n",
-                 argv[0]);
-    return 2;
-  }
-  if (coop_cache && !cache_on) {
-    std::fprintf(stderr,
-                 "%s: --coop-cache requires a cache; add --cache-mb\n",
-                 argv[0]);
-    return 2;
-  }
-  if (workload_kind != "io" && workload_kind != "andrew") {
-    std::fprintf(stderr, "%s: unknown workload '%s' (io|andrew)\n", argv[0],
-                 workload_kind.c_str());
-    return 2;
-  }
-  if (ha_on && no_ha) {
-    std::fprintf(stderr, "%s: --ha and --no-ha conflict\n", argv[0]);
-    return 2;
-  }
-  if (spares < 0 || global_spares < 0 || rebuild_mbs < 0 ||
-      timeout_ms < 0) {
-    std::fprintf(stderr,
-                 "%s: --spares/--global-spares/--rebuild-mbs/--timeout-ms "
-                 "must be >= 0\n",
-                 argv[0]);
-    return 2;
-  }
-  if (scrub_rate < 0 || fail_threshold < 0) {
-    std::fprintf(stderr,
-                 "%s: --scrub-rate/--fail-threshold must be >= 0\n",
-                 argv[0]);
-    return 2;
-  }
-  if (workload_kind == "andrew" && !replay_file.empty()) {
-    std::fprintf(stderr, "%s: --workload andrew and --replay conflict\n",
-                 argv[0]);
-    return 2;
-  }
-  if (!open_loop_spec.empty() &&
-      (workload_kind == "andrew" || !replay_file.empty() ||
-       !dump_trace_file.empty())) {
-    std::fprintf(stderr,
-                 "%s: --open-loop replaces the workload; it conflicts with "
-                 "--workload andrew, --replay, and --dump-trace\n",
-                 argv[0]);
-    return 2;
-  }
-  // Parse the spec before building anything expensive (a bad clause must
-  // fail in milliseconds), but only when given.
-  OpenLoopCli olcli;
-  if (!open_loop_spec.empty()) {
-    olcli = parse_open_loop_spec(argv[0], open_loop_spec);
-  }
-  // Device mix: parse first, then check the combinations the layouts can
-  // actually place.
-  DiskTypeCli dtcli;
-  if (!disk_type_spec.empty()) {
-    dtcli = parse_disk_type_spec(argv[0], disk_type_spec);
-  }
-  if (dtcli.kind == DiskTypeCli::Kind::kHybrid) {
-    if (arch != workload::Arch::kRaid1 && arch != workload::Arch::kRaid10 &&
-        arch != workload::Arch::kRaidX) {
-      std::fprintf(stderr,
-                   "%s: --disk-type hybrid places primaries on SSD and "
-                   "mirror images on HDD; it needs a mirrored layout "
-                   "(--arch raid1|raid10|raidx)\n",
-                   argv[0]);
-      return 2;
-    }
-    if (arch != workload::Arch::kRaid1 && disks % 2 != 0) {
-      std::fprintf(stderr,
-                   "%s: --disk-type hybrid splits each node's disk rows in "
-                   "half (SSD data rows over HDD image rows); --disks %d "
-                   "must be even\n",
-                   argv[0], disks);
-      return 2;
-    }
-  }
-  if (dtcli.kind != DiskTypeCli::Kind::kHdd && shards > 1) {
-    std::fprintf(stderr,
-                 "%s: --disk-type %s builds a heterogeneous device map; "
-                 "the sharded runner is spindle-only (drop --shards)\n",
-                 argv[0],
-                 dtcli.kind == DiskTypeCli::Kind::kSsd ? "ssd" : "hybrid");
-    return 2;
-  }
-  // Sharded-engine validation: every rejected combination cites the clause
-  // that makes it impossible, so a bad invocation fails in milliseconds
-  // with an actionable message instead of after a long build.
-  if (shards < 1) {
-    std::fprintf(stderr, "%s: --shards must be >= 1 (got %d)\n", argv[0],
-                 shards);
-    return 2;
-  }
-  if (threads < 0) {
-    std::fprintf(stderr, "%s: --threads must be >= 0 (got %d)\n", argv[0],
-                 threads);
-    return 2;
-  }
-  if (threads > 0 && shards == 1) {
-    std::fprintf(stderr,
-                 "%s: --threads drives the shard worker pool; it needs "
-                 "--shards > 1\n",
-                 argv[0]);
-    return 2;
-  }
-  if (olcli.remote > 0.0 && shards == 1 && sites == 1) {
-    std::fprintf(stderr,
-                 "%s: --open-loop remote=%g sends traffic across shards or "
-                 "sites; it needs --shards > 1 or --sites > 1\n",
-                 argv[0], olcli.remote);
-    return 2;
-  }
-  // WAN federation validation: every rejected combination cites the flag
-  // that makes it impossible.
-  if (sites < 1) {
-    std::fprintf(stderr, "%s: --sites must be >= 1 (got %d)\n", argv[0],
-                 sites);
-    return 2;
-  }
-  if (sites == 1 &&
-      (wan_rtt_set || wan_bw_set || wan_window_set || geo_rep)) {
-    std::fprintf(stderr,
-                 "%s: --wan-rtt/--wan-bw/--wan-window/--geo-rep shape the "
-                 "inter-site WAN; they need --sites > 1\n",
-                 argv[0]);
-    return 2;
-  }
-  if (geo_rep_mbs_set && !geo_rep) {
-    std::fprintf(stderr,
-                 "%s: --geo-rep-mbs throttles replication catch-up; add "
-                 "--geo-rep\n",
-                 argv[0]);
-    return 2;
-  }
-  if (sites > 1) {
-    if (shards > 1) {
-      std::fprintf(stderr,
-                   "%s: --sites and --shards are different federations "
-                   "(WAN mesh vs threaded placement groups); pick one\n",
-                   argv[0]);
-      return 2;
-    }
-    if (open_loop_spec.empty()) {
-      std::fprintf(stderr,
-                   "%s: --sites %d drives each site with open-loop "
-                   "traffic; add --open-loop SPEC\n",
-                   argv[0], sites);
-      return 2;
-    }
-    if (arch == workload::Arch::kNfs) {
-      std::fprintf(stderr,
-                   "%s: --sites needs a block engine per site; --arch nfs "
-                   "has one central server and cannot federate\n",
-                   argv[0]);
-      return 2;
-    }
-    if (wan_rtt_ms <= 0 || wan_bw <= 0 || wan_window == 0) {
-      std::fprintf(stderr,
-                   "%s: --wan-rtt/--wan-bw/--wan-window must be > 0\n",
-                   argv[0]);
-      return 2;
-    }
-    if (geo_rep_mbs < 0) {
-      std::fprintf(stderr, "%s: --geo-rep-mbs must be >= 0\n", argv[0]);
-      return 2;
-    }
-    if (ha_on) {
-      std::fprintf(stderr,
-                   "%s: --ha orchestration is per-site and not federated "
-                   "yet; WAN chaos runs raw (drop --ha)\n",
-                   argv[0]);
-      return 2;
-    }
-    if (olcli.qos_mbs > 0.0) {
-      std::fprintf(stderr,
-                   "%s: --open-loop qos-mbs gates one array; the WAN "
-                   "federation does not gate yet (drop qos-mbs or "
-                   "--sites)\n",
-                   argv[0]);
-      return 2;
-    }
-    if (!fails.empty() || verify_reads || scrub_rate > 0 ||
-        fail_threshold > 0 || warm > 0) {
-      std::fprintf(stderr,
-                   "%s: --fail/--verify-reads/--scrub-rate/"
-                   "--fail-threshold/--warm are single-site features (use "
-                   "--faults for WAN chaos)\n",
-                   argv[0]);
-      return 2;
-    }
-    if (watch_on) {
-      std::fprintf(stderr,
-                   "%s: --watch scrapes one cluster's resources; it does "
-                   "not support --sites > 1 yet\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  if (shards > 1) {
-    if (open_loop_spec.empty()) {
-      std::fprintf(stderr,
-                   "%s: --shards %d partitions the open-loop engine; add "
-                   "--open-loop SPEC (the closed-loop workloads run "
-                   "single-shard)\n",
-                   argv[0], shards);
-      return 2;
-    }
-    if (arch == workload::Arch::kNfs) {
-      std::fprintf(stderr,
-                   "%s: --shards needs a block engine per group; --arch "
-                   "nfs has one central server and cannot shard\n",
-                   argv[0]);
-      return 2;
-    }
-    if (nodes % shards != 0) {
-      std::fprintf(stderr,
-                   "%s: --nodes %d is not divisible by --shards %d (every "
-                   "placement group must be identical)\n",
-                   argv[0], nodes, shards);
-      return 2;
-    }
-    if (nodes / shards < 2) {
-      std::fprintf(stderr,
-                   "%s: --nodes %d over --shards %d leaves %d node(s) per "
-                   "group; the array geometry needs >= 2\n",
-                   argv[0], nodes, shards, nodes / shards);
-      return 2;
-    }
-    if (olcli.qos_mbs > 0.0) {
-      std::fprintf(stderr,
-                   "%s: --open-loop qos-mbs is per-array admission; the "
-                   "sharded runner does not gate yet (drop qos-mbs or "
-                   "--shards)\n",
-                   argv[0]);
-      return 2;
-    }
-    if (!fails.empty() || verify_reads || scrub_rate > 0 ||
-        fail_threshold > 0 || warm > 0) {
-      std::fprintf(stderr,
-                   "%s: --fail/--verify-reads/--scrub-rate/"
-                   "--fail-threshold/--warm are single-shard features "
-                   "(use --faults for sharded chaos)\n",
-                   argv[0]);
-      return 2;
-    }
-    if (!trace_out.empty() || trace_sample_on || slo_on || watch_on) {
-      std::fprintf(stderr,
-                   "%s: --trace/--trace-sample/--slo/--watch attach to one "
-                   "simulation's hub; they do not support --shards > 1 "
-                   "yet\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-  // Telemetry specs: same fail-fast rule.  A sampler without a trace file,
-  // or an SLO with no open-loop traffic to observe, would silently do
-  // nothing -- reject them.
-  if (trace_sample_on && trace_out.empty()) {
-    std::fprintf(stderr, "%s: --trace-sample needs --trace FILE\n", argv[0]);
-    return 2;
-  }
-  if (slo_on && open_loop_spec.empty()) {
-    std::fprintf(stderr,
-                 "%s: --slo monitors open-loop traffic; add --open-loop\n",
-                 argv[0]);
-    return 2;
-  }
-  obs::SloConfig slo_cfg;
-  if (slo_on) slo_cfg = parse_slo_spec(argv[0], slo_spec);
-  WatchCli wcli;
-  if (watch_on) wcli = parse_watch_spec(argv[0], watch_spec);
-  obs::SampleConfig ts_cfg;
-  if (trace_sample_on) {
-    ts_cfg = parse_trace_sample_spec(argv[0], trace_sample_spec);
-  }
-  if (!replay_file.empty() && !dump_trace_file.empty()) {
-    std::fprintf(stderr,
-                 "%s: --replay and --dump-trace conflict (replay consumes a "
-                 "trace, dump-trace only generates one)\n",
-                 argv[0]);
-    return 2;
-  }
-  // Validate output paths up front so a bad path fails in milliseconds,
-  // not after the whole simulation has run.
-  for (const std::string* out : {&trace_out, &metrics_out, &wcli.out}) {
-    if (out->empty()) continue;
-    std::ofstream probe(*out);
-    if (!probe) {
-      std::fprintf(stderr, "%s: cannot write %s\n", argv[0], out->c_str());
-      return 2;
-    }
-  }
-
-  if (!dump_trace_file.empty()) {
-    workload::TraceGenConfig tg;
-    tg.clients = clients;
-    tg.ops_per_client = ops;
-    tg.write_fraction = is_write ? 0.7 : 0.3;
-    tg.seed = seed;
-    std::ofstream out(dump_trace_file);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", dump_trace_file.c_str());
-      return 1;
-    }
-    out << workload::format_trace(workload::generate_trace(tg));
-    std::printf("wrote %d x %d trace records to %s\n", clients, ops,
-                dump_trace_file.c_str());
-    return 0;
-  }
-
-  // Engine / CDD / cache knobs are shared by the classic single-simulation
-  // path and the sharded federation; build them once, fail fast on a bad
-  // value.
-  cdd::CddParams cddp;
-  if (timeout_ms > 0) cddp.request_timeout = sim::milliseconds(timeout_ms);
-
-  raid::EngineParams ep;
-  ep.background_mirrors = bg_mirrors;
-  ep.use_locks = locks;
-  ep.read_window = window;
-  ep.write_window = window;
-  // RAID-1 pairs are already split even/odd by the device map; only the
-  // row-split layouts need the hybrid placement variant.
-  ep.hybrid_mirrors = dtcli.kind == DiskTypeCli::Kind::kHybrid &&
-                      arch != workload::Arch::kRaid1;
-
-  cache::CacheParams cp;
-  if (cache_policy == "none") {
-    cp.capacity_blocks = 0;
-  } else if (cache_policy == "wt" || cache_policy == "wb") {
-    cp.capacity_blocks = static_cast<std::uint64_t>(
-        cache_mb * 1024.0 * 1024.0 / static_cast<double>(block));
-    cp.write_policy = cache_policy == "wb"
-                          ? cache::WritePolicy::kWriteBack
-                          : cache::WritePolicy::kWriteThrough;
-  } else {
-    std::fprintf(stderr, "unknown cache policy: %s\n", cache_policy.c_str());
-    return 2;
-  }
-  if (cache_evict == "2q") cp.eviction = cache::EvictionPolicy::k2Q;
-  else if (cache_evict != "lru") {
-    std::fprintf(stderr, "unknown eviction policy: %s\n", cache_evict.c_str());
-    return 2;
-  }
-  cp.cooperative = coop_cache;
-
-  if (shards > 1) {
-    // Sharded federation: S identical placement groups advanced in
-    // parallel under the conservative synchronizer, open-loop traffic per
-    // group, optional ring-ordered cross-shard redirection.
-    auto gparams = cluster::ClusterParams::trojans();
-    gparams.geometry.nodes = nodes / shards;
-    gparams.geometry.disks_per_node = disks;
-    gparams.geometry.block_bytes = block;
-    gparams.geometry.blocks_per_disk = (10ull << 30) / block;
-    gparams.disk.store_data = false;
-
-    cluster::ShardedParams sp;
-    sp.shards = shards;
-    sp.arch = arch;
-    sp.engine = ep;
-    sp.cache = cp;
-    sp.cdd = cddp;
-
-    // Chaos plan in federation-global ids: shard s owns disks
-    // [s * nodes/shards * disks, ...) and nodes [s * nodes/shards, ...).
-    ha::FaultPlan plan;
-    if (!faults_spec.empty()) {
-      try {
-        plan = ha::FaultPlan::parse(faults_spec, nodes * disks,
-                                    gparams.geometry.blocks_per_disk);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-        return 2;
-      }
-      for (const ha::FaultEvent& ev : plan.events()) {
-        if (ev.kind == ha::FaultEvent::Kind::kPartitionNode &&
-            timeout_ms <= 0) {
-          std::fprintf(stderr,
-                       "%s: part: faults need --timeout-ms, or requests at "
-                       "the partitioned node block forever\n",
-                       argv[0]);
-          return 2;
-        }
-        if ((ev.kind == ha::FaultEvent::Kind::kPartitionNode ||
-             ev.kind == ha::FaultEvent::Kind::kJoinNode) &&
-            (ev.target < 0 || ev.target >= nodes)) {
-          std::fprintf(stderr, "%s: no such node: %d\n", argv[0], ev.target);
-          return 2;
-        }
-        if (ev.kind == ha::FaultEvent::Kind::kCorruptBlock) {
-          std::fprintf(stderr,
-                       "%s: corrupt: faults need the integrity plane, which "
-                       "is single-shard; use fail:/part: chaos under "
-                       "--shards\n",
-                       argv[0]);
-          return 2;
-        }
-      }
-    }
-    const bool want_orch = ha_on || (!faults_spec.empty() && !no_ha);
-
-    cluster::ShardedCluster world(gparams, sp);
-    if (!plan.empty() || want_orch) {
-      ha::HaParams hp;
-      hp.spares_per_node = spares;
-      hp.global_spares = global_spares;
-      hp.rebuild_mbs = rebuild_mbs;
-      if (!plan.empty()) {
-        std::printf("fault plan (%s, partitioned over %d shards):\n%s",
-                    want_orch ? "orchestrated" : "raw", shards,
-                    plan.describe().c_str());
-      }
-      try {
-        world.arm_faults(plan, want_orch ? &hp : nullptr);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-        return 2;
-      }
-    }
-
-    load::OpenLoopConfig ocfg;
-    ocfg.tenants.assign(static_cast<std::size_t>(olcli.tenants),
-                        olcli.shape);
-    ocfg.duration = sim::seconds(olcli.duration_s);
-    ocfg.seed = seed;
-    ocfg.max_in_flight = olcli.cap;
-
-    const int nthreads = threads > 0 ? threads : shards;
-    std::printf("raidxsim: sharded open-loop on %s, %d shard(s) x %d "
-                "nodes, %d tenant(s) x %.0f ops/s per shard, remote "
-                "%.1f%%, %d worker(s)\n",
-                world.engine(0).name().c_str(), shards, nodes / shards,
-                olcli.tenants, olcli.shape.rate_ops, 100.0 * olcli.remote,
-                nthreads);
-    load::ShardedLoadResult sr;
     try {
-      sr = load::run_open_loop_sharded(world, ocfg, olcli.remote, nthreads);
+      world.arm_faults(s.plan, orch ? &hp : nullptr);
     } catch (const std::exception& e) {
-      std::printf("run failed: %s\n", e.what());
-      return 1;
-    }
-    std::printf("\noffered             : %8.2f MB/s (%llu requests over "
-                "%.3f s)\n",
-                sr.offered_mbs, static_cast<unsigned long long>(sr.offered),
-                olcli.duration_s);
-    std::printf("goodput             : %8.2f MB/s (%llu completed, slowest "
-                "shard drained at %.3f s)\n",
-                sr.goodput_mbs,
-                static_cast<unsigned long long>(sr.completed),
-                sim::to_seconds(sr.drained_at));
-    std::printf("turned away         : %llu rejected, %llu shed, %llu "
-                "failed, %llu cap-dropped\n",
-                static_cast<unsigned long long>(sr.rejected),
-                static_cast<unsigned long long>(sr.shed),
-                static_cast<unsigned long long>(sr.failed),
-                static_cast<unsigned long long>(sr.cap_dropped));
-    std::printf("cross-shard         : %llu of %llu arrivals over the "
-                "spine\n",
-                static_cast<unsigned long long>(sr.remote_ops),
-                static_cast<unsigned long long>(sr.offered));
-    std::printf("latency             : p50 %.2f ms, p99 %.2f ms, p999 "
-                "%.2f ms\n",
-                sr.latency.quantile(0.50) / 1e6,
-                sr.latency.quantile(0.99) / 1e6,
-                sr.latency.quantile(0.999) / 1e6);
-    const sim::ShardGroup::Stats& gs = world.group().stats();
-    std::printf("sync                : %llu windows, %llu cross-shard "
-                "messages\n",
-                static_cast<unsigned long long>(gs.windows),
-                static_cast<unsigned long long>(gs.messages));
-    if (verbose) {
-      for (int s = 0; s < shards; ++s) {
-        const load::OpenLoopResult& r =
-            sr.per_shard[static_cast<std::size_t>(s)];
-        std::printf("  shard %2d: offered %7.2f MB/s, goodput %7.2f MB/s, "
-                    "p99 %8.2f ms, %llu remote\n",
-                    s, r.offered_mbs, r.goodput_mbs,
-                    r.latency.quantile(0.99) / 1e6,
-                    static_cast<unsigned long long>(r.remote_ops));
-      }
-    }
-    if (want_orch) {
-      std::uint64_t det = 0, reb = 0;
-      for (int s = 0; s < shards; ++s) {
-        const ha::HaStats& hs = world.shard(s).orchestrator->stats();
-        det += hs.detections;
-        reb += hs.rebuilds_completed;
-      }
-      std::printf("ha                  : %llu detections, %llu rebuilds "
-                  "across %d shards\n",
-                  static_cast<unsigned long long>(det),
-                  static_cast<unsigned long long>(reb), shards);
-    }
-    if (!metrics_out.empty()) {
-      std::ofstream out(metrics_out);
-      out << world.merged_snapshot_json() << "\n";
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", metrics_out.c_str());
-        return 1;
-      }
-      std::printf("metrics             : %s\n", metrics_out.c_str());
-    }
-    return 0;
-  }
-
-  auto params = cluster::ClusterParams::trojans();
-  params.geometry.nodes = nodes;
-  params.geometry.disks_per_node = disks;
-  params.geometry.block_bytes = block;
-  params.geometry.blocks_per_disk = (10ull << 30) / block;
-  // Andrew builds a real file system and verifies its bytes, so the disks
-  // must store data; the synthetic sweeps only measure timing.
-  params.disk.store_data = workload_kind == "andrew";
-
-  // Device mix: ssd makes every slot flash; hybrid puts the top disk rows
-  // (data) on flash and the bottom rows (mirror images) on spindles --
-  // except RAID-1, whose mirror pairs are adjacent global ids, so the map
-  // splits even (primary, SSD) from odd (mirror, HDD) instead.
-  params.flash = dtcli.flash;
-  if (dtcli.kind != DiskTypeCli::Kind::kHdd) {
-    const int total = nodes * disks;
-    params.device_map.assign(static_cast<std::size_t>(total),
-                             disk::DeviceClass::kHdd);
-    for (int id = 0; id < total; ++id) {
-      bool ssd = true;
-      if (dtcli.kind == DiskTypeCli::Kind::kHybrid) {
-        ssd = arch == workload::Arch::kRaid1 ? id % 2 == 0
-                                             : id / nodes < disks / 2;
-      }
-      if (ssd) {
-        params.device_map[static_cast<std::size_t>(id)] =
-            disk::DeviceClass::kSsd;
-      }
+      reject("%s\n", e.what());
     }
   }
 
-  sim::Simulation sim;
-  obs::Hub hub;
-  if (!trace_out.empty() || !metrics_out.empty() || slo_on || watch_on) {
-    hub.tracing = !trace_out.empty();
-    if (trace_sample_on) hub.tracer().set_selective(ts_cfg);
-    // The attribution matrix rides the metrics snapshot; enabling it has
-    // zero effect on simulated timestamps (pure bookkeeping at existing
-    // span boundaries).
-    if (!metrics_out.empty()) hub.enable_attribution();
-    if (slo_on) hub.enable_slo(slo_cfg);
-    sim.set_hub(&hub);
+  const OpenLoopCli& ol = s.open_loop;
+  const int nthreads = s.threads > 0 ? s.threads : s.shards;
+  std::printf("raidxsim: sharded open-loop on %s, %d shard(s) x %d nodes, %d "
+              "tenant(s) x %.0f ops/s per shard, remote %.1f%%, %d "
+              "worker(s)\n",
+              world.engine(0).name().c_str(), s.shards, s.nodes / s.shards,
+              ol.tenants, ol.shape.rate_ops, 100.0 * ol.remote, nthreads);
+  const load::ShardedLoadResult r = load::run_open_loop_sharded(
+      world, open_loop_config(s), ol.remote, nthreads);
+  report_open_loop(r, ol.duration_s, "shard");
+  const sim::ShardGroup::Stats& gs = world.group().stats();
+  std::printf("sync                : %llu windows, %llu cross-shard "
+              "messages\n",
+              ull(gs.windows), ull(gs.messages));
+  report_per_group(s, r, "shard");
+  if (orch) {
+    std::uint64_t det = 0, reb = 0;
+    for (int g = 0; g < s.shards; ++g) {
+      const ha::HaStats& hs = world.shard(g).orchestrator->stats();
+      det += hs.detections;
+      reb += hs.rebuilds_completed;
+    }
+    std::printf("ha                  : %llu detections, %llu rebuilds across "
+                "%d shards\n",
+                ull(det), ull(reb), s.shards);
+  }
+  if (s.metrics_out.empty()) return 0;
+  return write_json("metrics", s.metrics_out, world.merged_snapshot_json());
+}
+
+/// WAN federation: N identical sites (each the full --nodes x --disks
+/// cluster) under one simulation, joined by a full mesh of BDP-limited
+/// links, driven by per-site open-loop traffic with optional cross-site
+/// redirection and geo-replicated mirrors.
+int run_federation(RunSpec& s, sim::Simulation& sim, obs::Hub& hub) {
+  const StackParams p = stack_params(s, s.nodes);
+  wan::FederationParams fp;
+  fp.sites = s.sites;
+  fp.link.bandwidth_mbs = s.wan_bw.value_or(fp.link.bandwidth_mbs);
+  if (s.wan_rtt_ms) fp.link.rtt = sim::milliseconds(*s.wan_rtt_ms);
+  fp.link.window_bytes = s.wan_window.value_or(fp.link.window_bytes);
+  fp.geo_rep = s.geo_rep;
+  fp.repl.ship_mbs = s.geo_rep_mbs.value_or(0.0);
+  fp.cluster = p.cluster;
+  fp.arch = s.arch;
+  fp.engine = p.engine;
+  fp.cache = p.cache;
+  fp.cdd = p.cdd;
+  std::unique_ptr<wan::Federation> fed;
+  try {
+    fed = std::make_unique<wan::Federation>(sim, fp);
+  } catch (const std::exception& e) {
+    reject("%s\n", e.what());
   }
 
-  if (sites > 1) {
-    // WAN federation: N identical sites (each the full --nodes x --disks
-    // cluster) under one simulation, joined by a full mesh of BDP-limited
-    // links, driven by per-site open-loop traffic with optional cross-site
-    // redirection and geo-replicated mirrors.
-    wan::FederationParams fp;
-    fp.sites = sites;
-    fp.link.bandwidth_mbs = wan_bw;
-    fp.link.rtt = sim::milliseconds(wan_rtt_ms);
-    fp.link.window_bytes = wan_window;
-    fp.geo_rep = geo_rep;
-    fp.repl.ship_mbs = geo_rep_mbs;
-    fp.cluster = params;
-    fp.arch = arch;
-    fp.engine = ep;
-    fp.cache = cp;
-    fp.cdd = cddp;
-
-    // Chaos plan in federation-global ids: site s owns disks
-    // [s * nodes * disks, ...); partition:site=/brownout:link= clauses are
-    // range-checked by the parser against the mesh.
-    ha::FaultPlan plan;
-    if (!faults_spec.empty()) {
-      try {
-        plan = ha::FaultPlan::parse(faults_spec, sites * nodes * disks,
-                                    params.geometry.blocks_per_disk, sites,
-                                    wan::Federation::mesh_links(sites));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-        return 2;
-      }
-      for (const ha::FaultEvent& ev : plan.events()) {
-        if (ev.kind == ha::FaultEvent::Kind::kPartitionNode ||
-            ev.kind == ha::FaultEvent::Kind::kJoinNode) {
-          std::fprintf(stderr,
-                       "%s: part:/join: node faults are single-site "
-                       "features; use partition:site= under --sites\n",
-                       argv[0]);
-          return 2;
-        }
-        if (ev.kind == ha::FaultEvent::Kind::kCorruptBlock) {
-          std::fprintf(stderr,
-                       "%s: corrupt:/rot: faults need the integrity plane, "
-                       "which is single-site; use fail:/partition: chaos "
-                       "under --sites\n",
-                       argv[0]);
-          return 2;
-        }
-      }
-    }
-
-    std::unique_ptr<wan::Federation> fed;
+  // Per-site working sets are carved from the site's own primary region,
+  // so they must fit in region_blocks, not the whole array.
+  const OpenLoopCli& ol = s.open_loop;
+  const std::uint64_t slots = std::max<std::uint64_t>(
+      1, ol.shape.working_set_blocks / ol.shape.blocks_per_op);
+  const std::uint64_t need = static_cast<std::uint64_t>(ol.tenants) *
+                             slots * ol.shape.blocks_per_op;
+  if (need > fed->region_blocks()) {
+    reject("per-site tenant working sets need %llu blocks but each site's "
+           "primary region holds %llu (shrink --open-loop ws=/tenants= or "
+           "grow the array)\n",
+           ull(need), ull(fed->region_blocks()));
+  }
+  if (!s.plan.empty()) {
+    print_plan(s.plan, false, ", " + std::to_string(s.sites) + " sites");
     try {
-      fed = std::make_unique<wan::Federation>(sim, fp);
+      fed->arm_faults(s.plan);
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-      return 2;
-    }
-
-    // Per-site working sets are carved from the site's own primary
-    // region, so they must fit in region_blocks, not the whole array.
-    std::uint64_t need = 0;
-    for (int t = 0; t < olcli.tenants; ++t) {
-      const std::uint64_t slots = std::max<std::uint64_t>(
-          1, olcli.shape.working_set_blocks / olcli.shape.blocks_per_op);
-      need += slots * olcli.shape.blocks_per_op;
-    }
-    if (need > fed->region_blocks()) {
-      std::fprintf(
-          stderr,
-          "%s: per-site tenant working sets need %llu blocks but each "
-          "site's primary region holds %llu (shrink --open-loop ws=/"
-          "tenants= or grow the array)\n",
-          argv[0], static_cast<unsigned long long>(need),
-          static_cast<unsigned long long>(fed->region_blocks()));
-      return 2;
-    }
-
-    if (!plan.empty()) {
-      std::printf("fault plan (raw, %d sites):\n%s", sites,
-                  plan.describe().c_str());
-      try {
-        fed->arm_faults(plan);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-        return 2;
-      }
-    }
-
-    std::printf(
-        "raidxsim: wan federation on %s, %d sites x %d nodes, %d link(s) "
-        "@ %.0f MB/s, rtt %.0f ms, window %llu KB%s\n",
-        fed->engine(0).name().c_str(), sites, nodes, fed->num_links(),
-        wan_bw, wan_rtt_ms,
-        static_cast<unsigned long long>(wan_window >> 10),
-        geo_rep ? " [geo-rep]" : "");
-    std::printf(
-        "raidxsim: open-loop per site, %d tenant(s) x %.0f ops/s, zipf "
-        "%.2f, remote %.1f%%\n",
-        olcli.tenants, olcli.shape.rate_ops, olcli.shape.zipf_alpha,
-        100.0 * olcli.remote);
-
-    std::vector<load::OpenLoopConfig> cfgs(
-        static_cast<std::size_t>(sites));
-    std::vector<std::unique_ptr<load::OpenLoopDriver>> drivers;
-    for (int s = 0; s < sites; ++s) {
-      load::OpenLoopConfig& cfg = cfgs[static_cast<std::size_t>(s)];
-      cfg.tenants.assign(static_cast<std::size_t>(olcli.tenants),
-                         olcli.shape);
-      cfg.duration = sim::seconds(olcli.duration_s);
-      cfg.seed = seed + static_cast<std::uint64_t>(s);
-      cfg.max_in_flight = olcli.cap;
-      cfg.base_lba = fed->region_base(s);
-      if (olcli.remote > 0.0) {
-        cfg.remote.fraction = olcli.remote;
-        wan::Federation* f = fed.get();
-        cfg.remote.exec = [f, s](std::uint64_t slot, std::uint32_t nblocks,
-                                 bool write) {
-          return f->remote_io(s, slot, nblocks, write);
-        };
-      }
-      drivers.push_back(
-          std::make_unique<load::OpenLoopDriver>(fed->engine(s), cfg));
-    }
-    const Teardown teardown{sim};
-    try {
-      for (auto& d : drivers) d->start();
-      sim.run();
-    } catch (const std::exception& e) {
-      std::printf("run failed: %s\n", e.what());
-      return 1;
-    }
-
-    load::OpenLoopResult total;
-    std::vector<load::OpenLoopResult> per_site;
-    per_site.reserve(drivers.size());
-    for (auto& d : drivers) per_site.push_back(d->finish());
-    for (const load::OpenLoopResult& r : per_site) {
-      total.offered += r.offered;
-      total.completed += r.completed;
-      total.rejected += r.rejected;
-      total.shed += r.shed;
-      total.failed += r.failed;
-      total.cap_dropped += r.cap_dropped;
-      total.remote_ops += r.remote_ops;
-      total.offered_mbs += r.offered_mbs;
-      total.goodput_mbs += r.goodput_mbs;
-      total.drained_at = std::max(total.drained_at, r.drained_at);
-      total.latency.merge(r.latency);
-    }
-    std::printf("\noffered             : %8.2f MB/s (%llu requests over "
-                "%.3f s, all sites)\n",
-                total.offered_mbs,
-                static_cast<unsigned long long>(total.offered),
-                olcli.duration_s);
-    std::printf("goodput             : %8.2f MB/s (%llu completed, slowest "
-                "site drained at %.3f s)\n",
-                total.goodput_mbs,
-                static_cast<unsigned long long>(total.completed),
-                sim::to_seconds(total.drained_at));
-    std::printf("turned away         : %llu rejected, %llu shed, %llu "
-                "failed, %llu cap-dropped\n",
-                static_cast<unsigned long long>(total.rejected),
-                static_cast<unsigned long long>(total.shed),
-                static_cast<unsigned long long>(total.failed),
-                static_cast<unsigned long long>(total.cap_dropped));
-    std::printf("latency             : p50 %.2f ms, p99 %.2f ms, p999 "
-                "%.2f ms\n",
-                total.latency.quantile(0.50) / 1e6,
-                total.latency.quantile(0.99) / 1e6,
-                total.latency.quantile(0.999) / 1e6);
-    if (verbose) {
-      for (int s = 0; s < sites; ++s) {
-        const load::OpenLoopResult& r =
-            per_site[static_cast<std::size_t>(s)];
-        std::printf("  site %2d: offered %7.2f MB/s, goodput %7.2f MB/s, "
-                    "p99 %8.2f ms, %llu remote\n",
-                    s, r.offered_mbs, r.goodput_mbs,
-                    r.latency.quantile(0.99) / 1e6,
-                    static_cast<unsigned long long>(r.remote_ops));
-      }
-    }
-
-    const wan::WanStats& ws = fed->stats();
-    std::uint64_t link_bytes = 0, link_drops = 0;
-    for (int l = 0; l < fed->num_links(); ++l) {
-      link_bytes += fed->link_by_id(l).bytes_carried();
-      link_drops += fed->link_by_id(l).drops();
-    }
-    std::printf("wan reads           : %llu remote (%llu site-cache hits, "
-                "%llu origin, %llu mirror [%llu stale], %llu unreachable, "
-                "%llu redirected)\n",
-                static_cast<unsigned long long>(ws.remote_reads),
-                static_cast<unsigned long long>(ws.cache_hits),
-                static_cast<unsigned long long>(ws.origin_reads),
-                static_cast<unsigned long long>(ws.mirror_reads),
-                static_cast<unsigned long long>(ws.stale_served),
-                static_cast<unsigned long long>(ws.unreachable),
-                static_cast<unsigned long long>(ws.redirects));
-    std::printf("wan writes          : %llu forwarded, %llu forward "
-                "failures\n",
-                static_cast<unsigned long long>(ws.remote_writes),
-                static_cast<unsigned long long>(ws.write_forward_failures));
-    if (ws.remote_reads > 0) {
-      std::printf("wan read latency    : p50 %.2f ms, p99 %.2f ms\n",
-                  fed->remote_read_latency().quantile(0.50) / 1e6,
-                  fed->remote_read_latency().quantile(0.99) / 1e6);
-    }
-    std::printf("wan links           : %.2f MB carried, %llu drops\n",
-                static_cast<double>(link_bytes) / 1e6,
-                static_cast<unsigned long long>(link_drops));
-    if (wan::Replicator* rep = fed->replicator()) {
-      std::uint64_t appended = 0, coalesced = 0, shipped = 0, failed = 0;
-      for (int a = 0; a < sites; ++a) {
-        for (int b = 0; b < sites; ++b) {
-          if (a == b) continue;
-          const wan::StreamStats& st = rep->stream(a, b);
-          appended += st.appended;
-          coalesced += st.coalesced;
-          shipped += st.shipped;
-          failed += st.failed_ships;
-        }
-      }
-      std::printf("geo-rep             : %llu appended (%llu coalesced), "
-                  "%llu shipped, %llu failed ships, backlog %llu (peak "
-                  "%llu)\n",
-                  static_cast<unsigned long long>(appended),
-                  static_cast<unsigned long long>(coalesced),
-                  static_cast<unsigned long long>(shipped),
-                  static_cast<unsigned long long>(failed),
-                  static_cast<unsigned long long>(rep->total_backlog()),
-                  static_cast<unsigned long long>(rep->peak_backlog()));
-      if (rep->lag().count() > 0) {
-        std::printf("geo-rep lag         : p50 %.2f ms, p99 %.2f ms, max "
-                    "%.2f ms, %llu violation(s) of the %.1f s bound\n",
-                    rep->lag().quantile(0.50) / 1e6,
-                    rep->lag().quantile(0.99) / 1e6,
-                    static_cast<double>(rep->max_lag()) / 1e6,
-                    static_cast<unsigned long long>(
-                        rep->staleness_violations()),
-                    sim::to_seconds(fp.repl.staleness_bound));
-      }
-      if (rep->total_backlog() == 0) {
-        std::printf("geo-rep converged   : %8.3f s\n",
-                    sim::to_seconds(rep->last_converged()));
-      } else {
-        std::printf("geo-rep converged   : never (a partition outlived the "
-                    "run; %llu entries still queued)\n",
-                    static_cast<unsigned long long>(rep->total_backlog()));
-      }
-    }
-
-    if (!trace_out.empty()) {
-      std::string err;
-      if (!hub.tracer().export_chrome(trace_out, sim.now(), &err)) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        return 1;
-      }
-      std::printf("trace               : %zu spans -> %s\n",
-                  hub.tracer().spans().size(), trace_out.c_str());
-    }
-    if (hub.slo() != nullptr) {
-      const obs::SloStats& ss = hub.slo()->stats();
-      std::printf("slo                 : %llu/%llu over %.1f ms target, "
-                  "%llu breach(es)\n",
-                  static_cast<unsigned long long>(ss.violations),
-                  static_cast<unsigned long long>(ss.requests),
-                  sim::to_milliseconds(hub.slo()->config().latency_target),
-                  static_cast<unsigned long long>(ss.breaches));
-    }
-    if (!metrics_out.empty()) {
-      fed->collect(hub.registry());
-      std::ofstream out(metrics_out);
-      if (hub.events() != nullptr) {
-        out << "{\"metrics\":" << hub.registry().snapshot_json()
-            << ",\"events\":" << hub.events()->json() << "}\n";
-      } else {
-        out << hub.registry().snapshot_json() << "\n";
-      }
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", metrics_out.c_str());
-        return 1;
-      }
-      std::printf("metrics             : %s\n", metrics_out.c_str());
-    }
-    return 0;
-  }
-
-  cluster::Cluster cluster(sim, params);
-  cdd::CddFabric fabric(cluster, cddp);
-
-  // Chaos plan: parse before anything expensive runs so a bad spec fails
-  // in milliseconds.  Partition events need a CDD timeout, or any request
-  // in flight across the partition waits forever.
-  ha::FaultPlan plan;
-  if (!faults_spec.empty()) {
-    try {
-      plan = ha::FaultPlan::parse(faults_spec, cluster.total_disks(),
-                                  params.geometry.blocks_per_disk);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-      return 2;
-    }
-    for (const ha::FaultEvent& ev : plan.events()) {
-      if (ev.kind == ha::FaultEvent::Kind::kPartitionNode &&
-          timeout_ms <= 0) {
-        std::fprintf(stderr,
-                     "%s: part: faults need --timeout-ms, or requests at "
-                     "the partitioned node block forever\n",
-                     argv[0]);
-        return 2;
-      }
-      if ((ev.kind == ha::FaultEvent::Kind::kPartitionNode ||
-           ev.kind == ha::FaultEvent::Kind::kJoinNode) &&
-          (ev.target < 0 || ev.target >= nodes)) {
-        std::fprintf(stderr, "%s: no such node: %d\n", argv[0], ev.target);
-        return 2;
-      }
+      reject("%s\n", e.what());
     }
   }
 
-  auto engine = workload::make_engine(arch, fabric, ep);
+  std::printf("raidxsim: wan federation on %s, %d sites x %d nodes, %d "
+              "link(s) @ %.0f MB/s, rtt %.0f ms, window %llu KB%s\n",
+              fed->engine(0).name().c_str(), s.sites, s.nodes,
+              fed->num_links(), fp.link.bandwidth_mbs,
+              s.wan_rtt_ms.value_or(sim::to_milliseconds(fp.link.rtt)),
+              ull(fp.link.window_bytes >> 10), s.geo_rep ? " [geo-rep]" : "");
+  std::printf("raidxsim: open-loop per site, %d tenant(s) x %.0f ops/s, zipf "
+              "%.2f, remote %.1f%%\n",
+              ol.tenants, ol.shape.rate_ops, ol.shape.zipf_alpha,
+              100.0 * ol.remote);
+  std::vector<std::unique_ptr<load::OpenLoopDriver>> drivers;
+  for (int site = 0; site < s.sites; ++site) {
+    load::OpenLoopConfig cfg = open_loop_config(s);
+    cfg.seed += static_cast<std::uint64_t>(site);
+    cfg.base_lba = fed->region_base(site);
+    if (ol.remote > 0.0) {
+      cfg.remote.fraction = ol.remote;
+      cfg.remote.exec = [f = fed.get(), site](std::uint64_t slot,
+                                              std::uint32_t nblocks,
+                                              bool write) {
+        return f->remote_io(site, slot, nblocks, write);
+      };
+    }
+    drivers.push_back(
+        std::make_unique<load::OpenLoopDriver>(fed->engine(site), cfg));
+  }
+  const Teardown teardown{sim};
+  for (auto& d : drivers) d->start();
+  sim.run();
 
-  cache::CacheFabric block_cache(cluster, cp);
+  std::vector<load::OpenLoopResult> per_site;
+  for (auto& d : drivers) per_site.push_back(d->finish());
+  const load::ShardedLoadResult r =
+      load::accumulate_groups(std::move(per_site));
+  report_open_loop(r, ol.duration_s, "site");
+  report_per_group(s, r, "site");
+
+  const wan::WanStats& ws = fed->stats();
+  std::uint64_t link_bytes = 0, link_drops = 0;
+  for (int l = 0; l < fed->num_links(); ++l) {
+    link_bytes += fed->link_by_id(l).bytes_carried();
+    link_drops += fed->link_by_id(l).drops();
+  }
+  std::printf("wan reads           : %llu remote (%llu site-cache hits, %llu "
+              "origin, %llu mirror [%llu stale], %llu unreachable, %llu "
+              "redirected)\n",
+              ull(ws.remote_reads), ull(ws.cache_hits), ull(ws.origin_reads),
+              ull(ws.mirror_reads), ull(ws.stale_served), ull(ws.unreachable),
+              ull(ws.redirects));
+  std::printf("wan writes          : %llu forwarded, %llu forward failures\n",
+              ull(ws.remote_writes), ull(ws.write_forward_failures));
+  if (ws.remote_reads > 0) {
+    std::printf("wan read latency    : p50 %.2f ms, p99 %.2f ms\n",
+                fed->remote_read_latency().quantile(0.50) / 1e6,
+                fed->remote_read_latency().quantile(0.99) / 1e6);
+  }
+  std::printf("wan links           : %.2f MB carried, %llu drops\n",
+              static_cast<double>(link_bytes) / 1e6, ull(link_drops));
+  if (wan::Replicator* rep = fed->replicator()) {
+    std::uint64_t appended = 0, coalesced = 0, shipped = 0, failed = 0;
+    for (int a = 0; a < s.sites; ++a) {
+      for (int b = 0; b < s.sites; ++b) {
+        if (a == b) continue;
+        const wan::StreamStats& st = rep->stream(a, b);
+        appended += st.appended;
+        coalesced += st.coalesced;
+        shipped += st.shipped;
+        failed += st.failed_ships;
+      }
+    }
+    std::printf("geo-rep             : %llu appended (%llu coalesced), %llu "
+                "shipped, %llu failed ships, backlog %llu (peak %llu)\n",
+                ull(appended), ull(coalesced), ull(shipped), ull(failed),
+                ull(rep->total_backlog()), ull(rep->peak_backlog()));
+    if (rep->lag().count() > 0) {
+      std::printf("geo-rep lag         : p50 %.2f ms, p99 %.2f ms, max %.2f "
+                  "ms, %llu violation(s) of the %.1f s bound\n",
+                  rep->lag().quantile(0.50) / 1e6,
+                  rep->lag().quantile(0.99) / 1e6,
+                  static_cast<double>(rep->max_lag()) / 1e6,
+                  ull(rep->staleness_violations()),
+                  sim::to_seconds(fp.repl.staleness_bound));
+    }
+    if (rep->total_backlog() == 0) {
+      std::printf("geo-rep converged   : %8.3f s\n",
+                  sim::to_seconds(rep->last_converged()));
+    } else {
+      std::printf("geo-rep converged   : never (a partition outlived the run; "
+                  "%llu entries still queued)\n",
+                  ull(rep->total_backlog()));
+    }
+  }
+  if (!s.metrics_out.empty()) fed->collect(hub.registry());
+  return export_obs(s, hub, sim, nullptr);
+}
+
+/// One site: cluster -> CDD fabric -> engine -> cache, plus --watch, HA
+/// and the integrity plane, driven by one workload.
+int run_single(RunSpec& s, sim::Simulation& sim, obs::Hub& hub) {
+  const StackParams p = stack_params(s, s.nodes);
+  cluster::Cluster cluster(sim, p.cluster);
+  cdd::CddFabric fabric(cluster, p.cdd);
+  auto engine = workload::make_engine(s.arch, fabric, p.engine);
+  cache::CacheFabric block_cache(cluster, p.cache);
   engine->attach_cache(&block_cache);
-
-  // --watch: sim-time series scraper.  Sampling rides daemon events, which
-  // never keep run() alive or shift foreground timestamps, so a watched
-  // run finishes at the same simulated instant as an unwatched one.
   std::unique_ptr<obs::Scraper> scraper;
-  if (watch_on) {
-    scraper =
-        std::make_unique<obs::Scraper>(sim, wcli.interval, wcli.samples);
-    scraper->add_series(
-        "disk.util",
-        [&cluster, &sim, prev = 0.0, prev_t = 0.0]() mutable {
-          double busy = 0.0;
-          for (int d = 0; d < cluster.total_disks(); ++d) {
-            busy += static_cast<double>(cluster.disk(d).busy_time());
-          }
-          const double now = static_cast<double>(sim.now());
-          const double span = (now - prev_t) * cluster.total_disks();
-          const double u = span > 0.0 ? (busy - prev) / span : 0.0;
-          prev = busy;
-          prev_t = now;
-          return u;
-        });
-    scraper->add_series(
-        "net.tx_mbs",
-        [&cluster, &sim, prev = 0.0, prev_t = 0.0]() mutable {
-          net::Network& net = cluster.network();
-          double sent = 0.0;
-          for (int n = 0; n < net.nodes(); ++n) {
-            sent += static_cast<double>(net.bytes_sent(n));
-          }
-          const double now = static_cast<double>(sim.now());
-          // bytes/ns -> MB/s is a factor of 1000.
-          const double mbs =
-              now > prev_t ? (sent - prev) / (now - prev_t) * 1e3 : 0.0;
-          prev = sent;
-          prev_t = now;
-          return mbs;
-        });
-    scraper->add_series(
-        "cdd.remote_ops",
-        [&fabric, &sim, prev = 0.0, prev_t = 0.0]() mutable {
-          const double ops = static_cast<double>(fabric.remote_requests());
-          const double now = static_cast<double>(sim.now());
-          const double rate =
-              now > prev_t ? (ops - prev) / ((now - prev_t) * 1e-9) : 0.0;
-          prev = ops;
-          prev_t = now;
-          return rate;
-        });
-    scraper->add_series("sim.pending", [&sim]() {
-      return static_cast<double>(sim.foreground_pending());
-    });
-    scraper->start();
-  }
-
-  for (int f : fails) {
-    if (f < 0 || f >= cluster.total_disks()) {
-      std::fprintf(stderr, "no such disk: %d\n", f);
-      return 2;
-    }
-    cluster.disk(f).fail();
-  }
-
-  // Recovery orchestration: on when asked for explicitly, or implied by a
-  // fault plan (chaos without recovery needs --no-ha).
+  if (s.watch_spec) scraper = make_scraper(s.watch, sim, cluster, fabric);
+  for (int f : s.fails) cluster.disk(f).fail();
   std::unique_ptr<ha::Orchestrator> orch;
-  if (ha_on || (!faults_spec.empty() && !no_ha)) {
-    ha::HaParams hp;
-    hp.spares_per_node = spares;
-    hp.global_spares = global_spares;
-    hp.rebuild_mbs = rebuild_mbs;
-    orch = std::make_unique<ha::Orchestrator>(*engine, hp);
+  if (s.orchestrate()) {
+    orch = std::make_unique<ha::Orchestrator>(*engine, ha_params(s));
   }
-
   // Integrity plane: on when verification or scrubbing was asked for, or
   // implied by corruption in the fault plan (silent corruption with no
   // checksum plane would vanish without a trace -- the very failure mode
   // the subsystem exists to expose).
   std::unique_ptr<integrity::IntegrityPlane> plane;
-  if (verify_reads || scrub_rate > 0 || fail_threshold > 0 ||
-      plan.has_corruption()) {
-    auto* ac = dynamic_cast<raid::ArrayController*>(engine.get());
-    if (ac == nullptr) {
-      std::fprintf(stderr,
-                   "%s: --verify-reads/--scrub-rate/corrupt: faults need a "
-                   "block engine (not nfs)\n",
-                   argv[0]);
-      return 2;
-    }
+  if (s.verify_reads || s.scrub_rate > 0 || s.fail_threshold > 0 ||
+      s.plan.has_corruption()) {
     integrity::IntegrityParams ip;
-    ip.verify_reads = verify_reads;
-    ip.scrub = scrub_rate > 0;
-    ip.scrub_rate_mbs = scrub_rate;
-    ip.fail_threshold = fail_threshold;
-    plane = std::make_unique<integrity::IntegrityPlane>(*ac, ip);
+    ip.verify_reads = s.verify_reads;
+    ip.scrub = s.scrub_rate > 0;
+    ip.scrub_rate_mbs = s.scrub_rate;
+    ip.fail_threshold = s.fail_threshold;
+    plane = std::make_unique<integrity::IntegrityPlane>(*engine, ip);
   }
-
-  if (!plan.empty()) {
-    std::printf("fault plan (%s):\n%s", orch ? "orchestrated" : "raw",
-                plan.describe().c_str());
-    plan.arm(cluster, orch.get(), plane.get());
+  if (!s.plan.empty()) {
+    print_plan(s.plan, orch != nullptr, "");
+    s.plan.arm(cluster, orch.get(), plane.get());
   }
+  // Queued QoS admissions hold guards on the gate's per-tenant FIFOs, so
+  // the teardown must run while the gate is still alive.
+  std::unique_ptr<load::QosGate> gate;
   const Teardown teardown{sim};
 
-  auto print_ha_summary = [&]() {
-    if (!orch) return;
-    const ha::HaStats& hs = orch->stats();
-    std::printf("ha                  : %llu detections (%llu traffic, %llu "
-                "probe), %llu failovers, %llu rebuilds, %d spares left\n",
-                static_cast<unsigned long long>(hs.detections),
-                static_cast<unsigned long long>(hs.detections_by_traffic),
-                static_cast<unsigned long long>(hs.detections_by_probe),
-                static_cast<unsigned long long>(hs.failovers),
-                static_cast<unsigned long long>(hs.rebuilds_completed),
-                orch->spares().total_available());
-    if (!hs.mttr_ns.empty()) {
-      double sum = 0;
-      for (sim::Time t : hs.mttr_ns) sum += static_cast<double>(t);
-      std::printf("ha mttr             : %8.3f s mean over %zu recoveries\n",
-                  sum / static_cast<double>(hs.mttr_ns.size()) * 1e-9,
-                  hs.mttr_ns.size());
-    }
-  };
-
-  // Returns nonzero when the scrub soak failed to converge: with the
-  // daemon on, every injected error must be accounted for -- detected (and
-  // repaired or explicitly listed unrecoverable), overwritten by traffic,
-  // or superseded by a whole-disk recovery -- and no repair may have
-  // errored out.  CI runs storms through this gate.
-  auto print_integrity_summary = [&]() -> int {
-    if (!plane) return 0;
-    const integrity::IntegrityStats& is = plane->stats();
-    std::printf("integrity           : %llu injected, %llu detected (%llu "
-                "read, %llu scrub), %llu repaired, %llu unrecoverable\n",
-                static_cast<unsigned long long>(is.injected),
-                static_cast<unsigned long long>(is.detected),
-                static_cast<unsigned long long>(is.detected_by_read),
-                static_cast<unsigned long long>(is.detected_by_scrub),
-                static_cast<unsigned long long>(is.repaired),
-                static_cast<unsigned long long>(is.unrecoverable));
-    if (is.overwritten > 0 || is.superseded > 0 || is.escalations > 0) {
-      std::printf("integrity (other)   : %llu overwritten, %llu superseded "
-                  "by rebuild, %llu disks escalated\n",
-                  static_cast<unsigned long long>(is.overwritten),
-                  static_cast<unsigned long long>(is.superseded),
-                  static_cast<unsigned long long>(is.escalations));
-    }
-    if (plane->params().scrub) {
-      std::printf("scrub               : %llu passes, %llu blocks verified "
-                  "(cap %.1f MB/s)\n",
-                  static_cast<unsigned long long>(is.scrub_passes),
-                  static_cast<unsigned long long>(is.blocks_scrubbed),
-                  plane->params().scrub_rate_mbs);
-    }
-    if (!is.mttd_ns.empty()) {
-      double sum = 0;
-      for (sim::Time t : is.mttd_ns) sum += static_cast<double>(t);
-      std::printf("integrity mttd      : %8.3f s mean over %zu detections\n",
-                  sum / static_cast<double>(is.mttd_ns.size()) * 1e-9,
-                  is.mttd_ns.size());
-    }
-    if (!is.unrecoverable_blocks.empty()) {
-      std::printf("unrecoverable blocks:");
-      for (const integrity::UnrecoverableBlock& b : is.unrecoverable_blocks) {
-        std::printf(" D%d:%llu", b.disk,
-                    static_cast<unsigned long long>(b.offset));
-      }
-      std::printf("\n");
-    }
-    if (plane->params().scrub && is.injected > 0 &&
-        (plane->undetected() > 0 || is.repairs_failed > 0)) {
-      std::fprintf(stderr,
-                   "integrity soak FAILED: %llu injected errors never "
-                   "accounted for, %llu repairs errored\n",
-                   static_cast<unsigned long long>(plane->undetected()),
-                   static_cast<unsigned long long>(is.repairs_failed));
-      return 1;
-    }
-    return 0;
-  };
-
-  auto export_obs = [&]() -> int {
-    if (!trace_out.empty()) {
-      std::string err;
-      if (!hub.tracer().export_chrome(trace_out, sim.now(), &err)) {
-        std::fprintf(stderr, "%s\n", err.c_str());
-        return 1;
-      }
-      if (hub.tracer().selective()) {
-        std::printf("trace               : %llu sampled + %zu reservoir "
-                    "trace(s) of %llu -> %s\n",
-                    static_cast<unsigned long long>(
-                        hub.tracer().sampled_kept()),
-                    hub.tracer().reservoir_count(),
-                    static_cast<unsigned long long>(
-                        hub.tracer().traces_started()),
-                    trace_out.c_str());
-      } else {
-        std::printf("trace               : %zu spans -> %s\n",
-                    hub.tracer().spans().size(), trace_out.c_str());
-      }
-    }
-    if (hub.slo() != nullptr) {
-      const obs::SloStats& ss = hub.slo()->stats();
-      std::printf("slo                 : %llu/%llu over %.1f ms target, "
-                  "%llu window(s), %llu breach(es), %llu recover(ies), "
-                  "worst burn %.2fx\n",
-                  static_cast<unsigned long long>(ss.violations),
-                  static_cast<unsigned long long>(ss.requests),
-                  sim::to_milliseconds(hub.slo()->config().latency_target),
-                  static_cast<unsigned long long>(ss.windows),
-                  static_cast<unsigned long long>(ss.breaches),
-                  static_cast<unsigned long long>(ss.recoveries),
-                  ss.worst_burn);
-    }
-    if (hub.events() != nullptr && !hub.events()->events().empty()) {
-      std::printf("events              : %zu in cluster log",
-                  hub.events()->events().size());
-      if (const obs::ClusterEvent* b = hub.events()->first("slo.breach")) {
-        std::printf("; first breach at %.3f s", sim::to_seconds(b->at));
-      }
-      std::printf("\n");
-      if (verbose) {
-        for (const obs::ClusterEvent& ev : hub.events()->events()) {
-          std::printf("  [%12.6f s] %-20s %s\n", sim::to_seconds(ev.at),
-                      ev.kind.c_str(), ev.detail.c_str());
-        }
-      }
-    }
-    if (scraper != nullptr) {
-      std::printf("\nwatch (%zu samples @ %.0f ms):\n%s",
-                  scraper->samples(),
-                  sim::to_milliseconds(scraper->interval()),
-                  scraper->render().c_str());
-      if (!wcli.out.empty()) {
-        std::ofstream out(wcli.out);
-        out << scraper->json() << "\n";
-        if (!out) {
-          std::fprintf(stderr, "cannot write %s\n", wcli.out.c_str());
-          return 1;
-        }
-        std::printf("watch json          : %s\n", wcli.out.c_str());
-      }
-    }
-    if (!metrics_out.empty()) {
-      obs::collect_cluster(hub.registry(), cluster, &fabric, &block_cache,
-                           orch.get(), plane.get());
-      std::ofstream out(metrics_out);
-      if (hub.events() != nullptr) {
-        // The ordered cluster event log rides the same artifact; the flat
-        // snapshot moves under "metrics" only when events exist, so plain
-        // --metrics files keep their historical shape.
-        out << "{\"metrics\":" << hub.registry().snapshot_json()
-            << ",\"events\":" << hub.events()->json() << "}\n";
-      } else {
-        out << hub.registry().snapshot_json() << "\n";
-      }
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", metrics_out.c_str());
-        return 1;
-      }
-      std::printf("metrics             : %s\n", metrics_out.c_str());
-    }
-    return 0;
-  };
-
-  if (!open_loop_spec.empty()) {
-    auto* ac = dynamic_cast<raid::ArrayController*>(engine.get());
-    if (ac == nullptr) {
-      std::fprintf(stderr,
-                   "%s: --open-loop needs a block engine (not nfs)\n",
-                   argv[0]);
-      return 2;
-    }
-    load::OpenLoopConfig ocfg;
-    ocfg.tenants.assign(static_cast<std::size_t>(olcli.tenants),
-                        olcli.shape);
-    ocfg.duration = sim::seconds(olcli.duration_s);
-    ocfg.seed = seed;
-    ocfg.max_in_flight = olcli.cap;
-    std::unique_ptr<load::QosGate> gate;
-    if (olcli.qos_mbs > 0.0) {
+  std::uint64_t unfinished = 0, issued = 0;
+  if (s.open_loop_on()) {
+    const OpenLoopCli& ol = s.open_loop;
+    if (ol.qos_mbs > 0.0) {
       load::TenantQos q;
-      q.rate_mbs = olcli.qos_mbs;
-      q.burst_mb = olcli.qos_burst_mb;
-      q.policy = olcli.policy;
+      q.rate_mbs = ol.qos_mbs;
+      q.burst_mb = ol.qos_burst_mb;
+      q.policy = ol.policy;
       gate = std::make_unique<load::QosGate>(
           sim, std::vector<load::TenantQos>(
-                   static_cast<std::size_t>(olcli.tenants), q));
+                   static_cast<std::size_t>(ol.tenants), q));
     }
-    // Queued admissions hold guards on the gate's per-tenant FIFOs, and
-    // the gate dies before the outer `teardown` runs.
-    const Teardown gate_teardown{sim};
-    std::printf("raidxsim: open-loop on %s, %d tenant(s) x %.0f ops/s (%s"
-                "%s), zipf %.2f, %d sessions each%s\n",
-                engine->name().c_str(), olcli.tenants, olcli.shape.rate_ops,
-                olcli.shape.dist == load::ArrivalDist::kBurst ? "burst"
-                                                              : "poisson",
-                olcli.shape.write_fraction > 0 ? ", mixed r/w" : "",
-                olcli.shape.zipf_alpha, olcli.shape.sessions,
+    std::printf("raidxsim: open-loop on %s, %d tenant(s) x %.0f ops/s (%s%s), "
+                "zipf %.2f, %d sessions each%s\n",
+                engine->name().c_str(), ol.tenants, ol.shape.rate_ops,
+                ol.shape.dist == load::ArrivalDist::kBurst ? "burst"
+                                                           : "poisson",
+                ol.shape.write_fraction > 0 ? ", mixed r/w" : "",
+                ol.shape.zipf_alpha, ol.shape.sessions,
                 gate ? " [QoS gated]" : "");
-    load::OpenLoopResult olr;
-    try {
-      olr = load::run_open_loop(*ac, ocfg, gate.get());
-    } catch (const std::exception& e) {
-      std::printf("run failed: %s\n", e.what());
-      return 1;
-    }
-    std::printf("\noffered             : %8.2f MB/s (%llu requests over "
-                "%.3f s)\n",
-                olr.offered_mbs,
-                static_cast<unsigned long long>(olr.offered),
-                sim::to_seconds(olr.duration));
-    std::printf("goodput             : %8.2f MB/s (%llu completed, drained "
-                "at %.3f s)\n",
-                olr.goodput_mbs,
-                static_cast<unsigned long long>(olr.completed),
-                sim::to_seconds(olr.drained_at));
-    std::printf("turned away         : %llu rejected, %llu shed, %llu "
-                "failed, %llu cap-dropped\n",
-                static_cast<unsigned long long>(olr.rejected),
-                static_cast<unsigned long long>(olr.shed),
-                static_cast<unsigned long long>(olr.failed),
-                static_cast<unsigned long long>(olr.cap_dropped));
-    std::printf("peak in flight      : %llu concurrent requests\n",
-                static_cast<unsigned long long>(olr.peak_in_flight));
-    std::printf("latency             : p50 %.2f ms, p99 %.2f ms, p999 %.2f "
-                "ms\n",
-                olr.latency.quantile(0.50) / 1e6,
-                olr.latency.quantile(0.99) / 1e6,
-                olr.latency.quantile(0.999) / 1e6);
-    if (verbose || olcli.tenants > 1) {
+    std::vector<load::OpenLoopResult> runs;
+    runs.push_back(
+        load::run_open_loop(*engine, open_loop_config(s), gate.get()));
+    const load::ShardedLoadResult r = load::accumulate_groups(std::move(runs));
+    const load::OpenLoopResult& olr = r.per_shard[0];
+    report_open_loop(r, sim::to_seconds(olr.duration), nullptr);
+    if (s.verbose || ol.tenants > 1) {
       std::printf("\nper-tenant:\n");
       for (std::size_t t = 0; t < olr.tenants.size(); ++t) {
         const load::TenantResult& tr = olr.tenants[t];
-        std::printf("  T%zu: offered %7.2f MB/s, goodput %7.2f MB/s, "
-                    "p99 %8.2f ms, shed %llu, rejected %llu\n",
+        std::printf("  T%zu: offered %7.2f MB/s, goodput %7.2f MB/s, p99 "
+                    "%8.2f ms, shed %llu, rejected %llu\n",
                     t, tr.offered_mbs, tr.goodput_mbs,
-                    tr.latency.quantile(0.99) / 1e6,
-                    static_cast<unsigned long long>(tr.shed),
-                    static_cast<unsigned long long>(tr.rejected));
+                    tr.latency.quantile(0.99) / 1e6, ull(tr.shed),
+                    ull(tr.rejected));
       }
     }
     if (block_cache.enabled()) {
       const auto& cs = block_cache.stats();
       std::printf("cache               : %.1f%% hit, directory peak %llu "
                   "entries / %llu sharers\n",
-                  100.0 * cs.hit_ratio(),
-                  static_cast<unsigned long long>(cs.directory_peak_entries),
-                  static_cast<unsigned long long>(cs.directory_peak_sharers));
+                  100.0 * cs.hit_ratio(), ull(cs.directory_peak_entries),
+                  ull(cs.directory_peak_sharers));
     }
-    print_ha_summary();
-    const int soak_rc = print_integrity_summary();
-    const int obs_rc = export_obs();
-    return obs_rc != 0 ? obs_rc : soak_rc;
-  }
-
-  if (!replay_file.empty()) {
-    std::ifstream in(replay_file);
+  } else if (!s.replay_file.empty()) {
+    std::ifstream in(s.replay_file);
     if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", replay_file.c_str());
+      std::fprintf(stderr, "cannot read %s\n", s.replay_file.c_str());
       return 1;
     }
     std::vector<workload::TraceRecord> recs;
@@ -1905,7 +1524,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("raidxsim: replaying %zu trace records from %s on %s\n",
-                recs.size(), replay_file.c_str(), engine->name().c_str());
+                recs.size(), s.replay_file.c_str(), engine->name().c_str());
     const auto tr = workload::replay_trace(*engine, recs);
     std::printf("\nelapsed             : %8.3f s\n",
                 sim::to_seconds(tr.elapsed));
@@ -1919,145 +1538,143 @@ int main(int argc, char** argv) {
     std::printf("write latency       : mean %.2f ms, p95 %.2f ms\n",
                 tr.write_latency.mean() / 1e6,
                 sim::to_milliseconds(tr.write_latency.quantile(0.95)));
-    print_ha_summary();
-    const int soak_rc = print_integrity_summary();
-    const int obs_rc = export_obs();
-    return obs_rc != 0 ? obs_rc : soak_rc;
-  }
-
-  if (workload_kind == "andrew") {
+  } else if (s.workload_kind == "andrew") {
     workload::AndrewConfig acfg;
-    acfg.clients = clients;
-    acfg.seed = seed;
+    acfg.clients = s.clients;
+    acfg.seed = s.seed;
     if (auto* srv = dynamic_cast<nfs::NfsEngine*>(engine.get())) {
       acfg.exclude_node = srv->server_node();
     }
     std::printf("raidxsim: Andrew benchmark on %s, %d clients\n",
-                engine->name().c_str(), clients);
-    workload::AndrewResult ar;
-    try {
-      ar = workload::run_andrew(*engine, acfg);
-    } catch (const std::exception& e) {
-      std::printf("run failed: %s\n", e.what());
-      return 1;
-    }
-    std::printf("\nMakeDir             : %8.3f s\n",
-                sim::to_seconds(ar.make_dir));
-    std::printf("Copy                : %8.3f s\n",
-                sim::to_seconds(ar.copy_files));
-    std::printf("ScanDir             : %8.3f s\n",
-                sim::to_seconds(ar.scan_dir));
-    std::printf("ReadAll             : %8.3f s\n",
-                sim::to_seconds(ar.read_all));
-    std::printf("Compile             : %8.3f s\n",
-                sim::to_seconds(ar.compile));
-    std::printf("total               : %8.3f s\n", sim::to_seconds(ar.total()));
-    print_ha_summary();
-    const int soak_rc = print_integrity_summary();
-    const int obs_rc = export_obs();
-    return obs_rc != 0 ? obs_rc : soak_rc;
-  }
-
-  workload::ParallelIoConfig cfg;
-  cfg.clients = clients;
-  cfg.op = is_write ? workload::IoOp::kWrite : workload::IoOp::kRead;
-  cfg.bytes_per_op = bytes;
-  cfg.ops_per_client = ops;
-  cfg.scattered = scattered;
-  cfg.warm_passes = warm;
-  cfg.seed = seed;
-  if (auto* srv = dynamic_cast<nfs::NfsEngine*>(engine.get())) {
-    cfg.exclude_node = srv->server_node();
-  }
-
-  std::printf("raidxsim: %s on %dx%d (%s), %d clients x %d x %.2f MB %s%s\n",
-              engine->name().c_str(), nodes, disks,
-              params.geometry.describe().c_str(), clients, ops,
-              static_cast<double>(bytes) / 1e6,
-              is_write ? "write" : "read", scattered ? " (scattered)" : "");
-  if (!fails.empty()) {
-    std::printf("failed disks:");
-    for (int f : fails) std::printf(" D%d", f);
+                engine->name().c_str(), s.clients);
+    const workload::AndrewResult ar = workload::run_andrew(*engine, acfg);
+    const std::pair<const char*, sim::Time> phases[] = {
+        {"MakeDir", ar.make_dir}, {"Copy", ar.copy_files},
+        {"ScanDir", ar.scan_dir}, {"ReadAll", ar.read_all},
+        {"Compile", ar.compile},  {"total", ar.total()}};
     std::printf("\n");
+    for (const auto& [name, t] : phases) {
+      std::printf("%-20s: %8.3f s\n", name, sim::to_seconds(t));
+    }
+  } else {
+    workload::ParallelIoConfig cfg;
+    cfg.clients = s.clients;
+    cfg.op = s.is_write ? workload::IoOp::kWrite : workload::IoOp::kRead;
+    cfg.bytes_per_op = s.bytes;
+    cfg.ops_per_client = s.ops;
+    cfg.scattered = s.scattered;
+    cfg.warm_passes = s.warm;
+    cfg.seed = s.seed;
+    if (auto* srv = dynamic_cast<nfs::NfsEngine*>(engine.get())) {
+      cfg.exclude_node = srv->server_node();
+    }
+    std::printf("raidxsim: %s on %dx%d (%s), %d clients x %d x %.2f MB %s%s\n",
+                engine->name().c_str(), s.nodes, s.disks,
+                p.cluster.geometry.describe().c_str(), s.clients, s.ops,
+                static_cast<double>(s.bytes) / 1e6,
+                s.is_write ? "write" : "read",
+                s.scattered ? " (scattered)" : "");
+    if (!s.fails.empty()) {
+      std::printf("failed disks:");
+      for (int f : s.fails) std::printf(" D%d", f);
+      std::printf("\n");
+    }
+    const workload::ParallelIoResult r =
+        workload::run_parallel_io(*engine, cfg);
+    std::printf("\naggregate bandwidth : %8.2f MB/s (foreground)\n",
+                r.aggregate_mbs);
+    std::printf("sustained bandwidth : %8.2f MB/s (incl. background drain)\n",
+                r.sustained_mbs);
+    std::printf("elapsed             : %8.3f s\n", sim::to_seconds(r.elapsed));
+    std::printf("ops                 : %llu of %llu completed\n",
+                ull(r.ops_completed), ull(r.ops_issued));
+    std::printf("op latency          : mean %.2f ms, p50 %.2f, p95 %.2f, max "
+                "%.2f\n",
+                r.op_latency.mean() / 1e6,
+                sim::to_milliseconds(r.op_latency.quantile(0.5)),
+                sim::to_milliseconds(r.op_latency.quantile(0.95)),
+                sim::to_milliseconds(r.op_latency.max()));
+    if (block_cache.enabled()) {
+      const auto& cs = block_cache.stats();
+      std::printf("cache               : %.1f MB/node %s%s, %s\n", s.cache_mb,
+                  s.cache_policy.c_str(), s.coop_cache ? " cooperative" : "",
+                  s.cache_evict.c_str());
+      std::printf("cache hits          : %llu local, %llu peer, %llu misses "
+                  "(%.1f%% hit)\n",
+                  ull(cs.hits), ull(cs.peer_hits), ull(cs.misses),
+                  100.0 * cs.hit_ratio());
+      std::printf("cache traffic       : %llu fills, %llu absorbed writes, "
+                  "%llu invalidations, %llu flushes, %llu evictions\n",
+                  ull(cs.fills), ull(cs.writes_absorbed),
+                  ull(cs.invalidations), ull(cs.flushes), ull(cs.evictions));
+    }
+    if (s.verbose) {
+      std::printf("\nper-client completion:\n");
+      for (std::size_t c = 0; c < r.clients.size(); ++c) {
+        std::printf("  client %2zu: %8.3f s, %6.2f MB\n", c,
+                    sim::to_seconds(r.clients[c].end - r.clients[c].start),
+                    static_cast<double>(r.clients[c].bytes) / 1e6);
+      }
+      std::printf("\nper-disk utilization (busy fraction):\n");
+      for (int d = 0; d < cluster.total_disks(); ++d) {
+        const auto& disk = cluster.disk(d);
+        std::printf("  D%-2d: %5.1f%%  (%llu reads, %llu writes)\n", d,
+                    100.0 * static_cast<double>(disk.busy_time()) /
+                        static_cast<double>(sim.now()),
+                    ull(disk.reads()), ull(disk.writes()));
+      }
+      std::printf("\nCDD requests: %llu local, %llu remote\n",
+                  ull(fabric.local_requests()), ull(fabric.remote_requests()));
+    }
+    unfinished = r.ops_issued - r.ops_completed;
+    issued = r.ops_issued;
   }
 
-  workload::ParallelIoResult r;
+  print_ha_summary(orch.get());
+  const int soak_rc = print_integrity_summary(plane.get());
+  if (!s.metrics_out.empty()) {
+    obs::collect_cluster(hub.registry(), cluster, &fabric, &block_cache,
+                         orch.get(), plane.get());
+  }
+  if (export_obs(s, hub, sim, scraper.get()) != 0 || soak_rc != 0) return 1;
+  // Ops that never completed leave nothing for the figures above to
+  // measure: the run failed even though no op raised an error.
+  if (unfinished > 0) {
+    std::fprintf(stderr,
+                 "%s: %llu of %llu ops never completed (the run ended with "
+                 "requests still suspended)\n",
+                 g_argv0, ull(unfinished), ull(issued));
+    return 1;
+  }
+  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  g_argv0 = argv[0];
+  RunSpec s = parse_args(argc, argv);
+  validate(s);
+  if (!s.dump_trace_file.empty()) return dump_trace(s);
   try {
-    r = workload::run_parallel_io(*engine, cfg);
+    if (s.shards > 1) return run_sharded(s);
+    sim::Simulation sim;
+    obs::Hub hub;
+    if (!s.trace_out.empty() || !s.metrics_out.empty() || s.slo_spec ||
+        s.watch_spec) {
+      hub.tracing = !s.trace_out.empty();
+      if (s.trace_sample_spec) hub.tracer().set_selective(s.trace_sample);
+      // The attribution matrix rides the metrics snapshot; enabling it has
+      // zero effect on simulated timestamps (pure bookkeeping at existing
+      // span boundaries).
+      if (!s.metrics_out.empty()) hub.enable_attribution();
+      if (s.slo_spec) hub.enable_slo(s.slo);
+      sim.set_hub(&hub);
+    }
+    return s.sites > 1 ? run_federation(s, sim, hub)
+                       : run_single(s, sim, hub);
   } catch (const std::exception& e) {
     std::printf("run failed: %s\n", e.what());
     return 1;
   }
-
-  std::printf("\naggregate bandwidth : %8.2f MB/s (foreground)\n",
-              r.aggregate_mbs);
-  std::printf("sustained bandwidth : %8.2f MB/s (incl. background drain)\n",
-              r.sustained_mbs);
-  std::printf("elapsed             : %8.3f s\n", sim::to_seconds(r.elapsed));
-  std::printf("ops                 : %llu of %llu completed\n",
-              static_cast<unsigned long long>(r.ops_completed),
-              static_cast<unsigned long long>(r.ops_issued));
-  std::printf("op latency          : mean %.2f ms, p50 %.2f, p95 %.2f, "
-              "max %.2f\n",
-              r.op_latency.mean() / 1e6,
-              sim::to_milliseconds(r.op_latency.quantile(0.5)),
-              sim::to_milliseconds(r.op_latency.quantile(0.95)),
-              sim::to_milliseconds(r.op_latency.max()));
-  if (block_cache.enabled()) {
-    const auto& cs = block_cache.stats();
-    std::printf("cache               : %.1f MB/node %s%s, %s\n", cache_mb,
-                cache_policy.c_str(), coop_cache ? " cooperative" : "",
-                cache_evict.c_str());
-    std::printf("cache hits          : %llu local, %llu peer, %llu misses "
-                "(%.1f%% hit)\n",
-                static_cast<unsigned long long>(cs.hits),
-                static_cast<unsigned long long>(cs.peer_hits),
-                static_cast<unsigned long long>(cs.misses),
-                100.0 * cs.hit_ratio());
-    std::printf("cache traffic       : %llu fills, %llu absorbed writes, "
-                "%llu invalidations, %llu flushes, %llu evictions\n",
-                static_cast<unsigned long long>(cs.fills),
-                static_cast<unsigned long long>(cs.writes_absorbed),
-                static_cast<unsigned long long>(cs.invalidations),
-                static_cast<unsigned long long>(cs.flushes),
-                static_cast<unsigned long long>(cs.evictions));
-  }
-
-  if (verbose) {
-    std::printf("\nper-client completion:\n");
-    for (std::size_t c = 0; c < r.clients.size(); ++c) {
-      std::printf("  client %2zu: %8.3f s, %6.2f MB\n", c,
-                  sim::to_seconds(r.clients[c].end - r.clients[c].start),
-                  static_cast<double>(r.clients[c].bytes) / 1e6);
-    }
-    std::printf("\nper-disk utilization (busy fraction):\n");
-    for (int d = 0; d < cluster.total_disks(); ++d) {
-      const auto& disk = cluster.disk(d);
-      std::printf("  D%-2d: %5.1f%%  (%llu reads, %llu writes)\n", d,
-                  100.0 * static_cast<double>(disk.busy_time()) /
-                      static_cast<double>(sim.now()),
-                  static_cast<unsigned long long>(disk.reads()),
-                  static_cast<unsigned long long>(disk.writes()));
-    }
-    std::printf("\nCDD requests: %llu local, %llu remote\n",
-                static_cast<unsigned long long>(fabric.local_requests()),
-                static_cast<unsigned long long>(fabric.remote_requests()));
-  }
-  print_ha_summary();
-  const int soak_rc = print_integrity_summary();
-  const int obs_rc = export_obs();
-  if (obs_rc != 0 || soak_rc != 0) return obs_rc != 0 ? obs_rc : soak_rc;
-  // Ops that never completed leave nothing for the figures above to
-  // measure: the run failed even though no op raised an error.
-  if (r.ops_completed < r.ops_issued) {
-    std::fprintf(stderr,
-                 "%s: %llu of %llu ops never completed (the run ended with "
-                 "requests still suspended)\n",
-                 argv[0],
-                 static_cast<unsigned long long>(r.ops_issued -
-                                                 r.ops_completed),
-                 static_cast<unsigned long long>(r.ops_issued));
-    return 1;
-  }
-  return 0;
 }
